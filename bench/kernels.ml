@@ -19,6 +19,21 @@ let mk_specs n die seed =
         cap = Util.Rng.float_range rng 5e-15 30e-15;
       })
 
+(* Per-run minor-allocation budget for the zero-allocation hot kernels,
+   in words. The true steady-state cost is 0 (a boxed float result at
+   most); the slack absorbs OLS estimation noise (estimates routinely
+   come out as small positive or negative fractions of a word), not
+   real allocation — the first boxed float or closure on one of these
+   paths costs 2-6 words and breaches. *)
+let alloc_budget_words = 8.
+
+(* The prepared DP probe's budget: its result — the eval record with
+   its four boxed floats (15 words) plus 8 words per planted buffer (a
+   cons cell, the placed record and its boxed distance) — and slack.
+   Per-probe tables or boxed floats in the O(b n^2) sweep cost hundreds
+   to thousands of words and breach. *)
+let dp_probe_budget_words = 128.
+
 let rec tests (env : Experiments.env) =
   let tech = env.Experiments.tech and dl = env.Experiments.dl in
   let lib = env.Experiments.lib in
@@ -114,11 +129,14 @@ let rec tests (env : Experiments.env) =
   ]
   @ hot
 
-(* Hot-path kernels: the three lookups the allocation work targeted.
-   Each stages the steady-state (hit) path; pair the time estimate
-   with the minor-allocation column — all three should report ~0
-   words/run. Shared with [alloc_gate], which asserts that. *)
-and hot_tests (env : Experiments.env) =
+(* Hot-path kernels, each with its minor-allocation budget in words per
+   run: the three lookups the allocation work targeted, plus a
+   fit-handle stage delay, stage the steady-state (hit) path and should
+   report ~0 words/run; a prepared DP probe allocates only its result.
+   Shared with [alloc_gate], which asserts the budgets. *)
+and hot_tests env = List.map fst (hot_kernels env)
+
+and hot_kernels (env : Experiments.env) =
   let dl = env.Experiments.dl in
   let lib = env.Experiments.lib in
   let b20 = Buffer_lib.by_name lib "BUF20X" in
@@ -155,7 +173,30 @@ and hot_tests (env : Experiments.env) =
     Test.make ~name:"hot-eval3: Polyfit.eval3 (degree 3)"
       (Staged.stage (fun () -> ignore (Polyfit.eval3 s3 0.3 0.6 0.9)))
   in
-  [ t_hot_span; t_hot_maze; t_hot_eval3 ]
+  let fit = Delaylib.fit dl ~drive:b20 ~load_cap:5e-15 in
+  let t_hot_fit =
+    Test.make ~name:"hot-fit: Delaylib fit-handle stage delay"
+      (Staged.stage (fun () ->
+           ignore (Delaylib.stage_delay fit ~input_slew:90e-12 ~length:640.)))
+  in
+  (* A 2000 um run from a sink under the default 16-slot grid: a dozen
+     stage-delay memo fills and a two-buffer chain per probe. *)
+  let dp_probe =
+    Run.prepare_dp dl
+      (Cts_config.with_insertion cfg Cts_config.Optimal_dp)
+      p1
+  in
+  let t_hot_dp =
+    Test.make ~name:"hot-dp: prepared Run DP probe (2000um)"
+      (Staged.stage (fun () -> ignore (dp_probe 2000.)))
+  in
+  [
+    (t_hot_span, alloc_budget_words);
+    (t_hot_maze, alloc_budget_words);
+    (t_hot_eval3, alloc_budget_words);
+    (t_hot_fit, alloc_budget_words);
+    (t_hot_dp, dp_probe_budget_words);
+  ]
 
 let run env =
   print_endline "=== kernel timings (Bechamel) ===";
@@ -201,13 +242,6 @@ let run env =
         time)
     (tests env)
 
-(* Per-run minor-allocation budget for the hot kernels, in words. The
-   true steady-state cost is 0; the slack absorbs OLS estimation noise
-   (estimates routinely come out as small positive or negative
-   fractions of a word), not real allocation — the first boxed float
-   or closure on one of these paths costs 2-6 words and breaches. *)
-let alloc_budget_words = 8.
-
 (* CI gate behind `make bench-smoke`: measure only the hot kernels and
    fail when any allocates beyond the budget, locking in the zero-
    allocation property the flattened arena/memo work bought. *)
@@ -222,7 +256,7 @@ let alloc_gate env =
   in
   let breaches = ref 0 and measured = ref 0 in
   List.iter
-    (fun test ->
+    (fun (test, budget) ->
       let results = Benchmark.all cfg_b instances test in
       let alloc = Analyze.all ols Instance.minor_allocated results in
       Hashtbl.iter
@@ -233,10 +267,10 @@ let alloc_gate env =
               (* Clamp: OLS noise can dip below zero; a negative
                  allocation estimate is just a zero. *)
               let words = Float.max 0. est in
-              let ok = words <= alloc_budget_words in
+              let ok = words <= budget in
               if not ok then incr breaches;
               Printf.printf "  %-50s %10.1f w/run (budget %.0f) %s\n" name
-                words alloc_budget_words
+                words budget
                 (if ok then "ok" else "BREACH")
           | Some _ | None ->
               (* No estimate means the gate measured nothing — fail
@@ -244,15 +278,14 @@ let alloc_gate env =
               incr breaches;
               Printf.printf "  %-50s (no alloc estimate) BREACH\n" name)
         alloc)
-    (hot_tests env);
+    (hot_kernels env);
   if !measured = 0 then begin
     print_endline "alloc-gate: no kernels measured";
     exit 1
   end;
   if !breaches > 0 then begin
-    Printf.printf "alloc-gate: %d kernel(s) over the %.0f words/run budget\n"
-      !breaches alloc_budget_words;
+    Printf.printf "alloc-gate: %d kernel(s) over their words/run budget\n"
+      !breaches;
     exit 1
   end;
-  Printf.printf "alloc-gate: all hot kernels within %.0f words/run\n"
-    alloc_budget_words
+  print_endline "alloc-gate: all hot kernels within their words/run budgets"

@@ -12,11 +12,8 @@ type choice = {
 
 let side_delay dl (cfg : Cts_config.t) (e : Run.eval) top_wire =
   let length = top_wire +. (e.Run.top_stub_len -. e.Run.top_free) in
-  let ev =
-    Delaylib.eval_single dl ~drive:cfg.assumed_driver ~load_cap:e.Run.top_load
-      ~input_slew:cfg.slew_target ~length
-  in
-  e.Run.delay_below +. ev.Delaylib.wire_delay
+  let h = Delaylib.fit dl ~drive:cfg.assumed_driver ~load_cap:e.Run.top_load in
+  e.Run.delay_below +. Delaylib.wire_delay h ~input_slew:cfg.slew_target ~length
 
 (* The cap clamps last so it binds even against [grid_bins]: with the
    old [max grid_bins (min cap wanted)] order a config carrying
@@ -43,6 +40,7 @@ let eval_memo dl cfg port ~max_d =
      additive gauge total is schedule-independent; with the
      Eval_cache_misses counter it yields the memo fill rate. *)
   Obs.gauge_add Obs.Maze_memo_slots (Array.length table);
+  let probe = Run.prepare dl cfg port in
   fun d ->
     let key = cache_key d in
     match table.(key) with
@@ -51,7 +49,7 @@ let eval_memo dl cfg port ~max_d =
         e
     | None ->
         Obs.incr Obs.Eval_cache_misses;
-        let e = Run.eval dl cfg port d in
+        let e = probe d in
         table.(key) <- Some e;
         e
 
@@ -87,6 +85,7 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
   in
   let eval1 = eval_memo dl cfg p1 ~max_d:(max_d_from pos1)
   and eval2 = eval_memo dl cfg p2 ~max_d:(max_d_from pos2) in
+  let side1 = Run.prepare_top dl cfg p1 and side2 = Run.prepare_top dl cfg p2 in
   let best = ref None in
   let consider (c : choice) =
     let better =
@@ -114,8 +113,8 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
         if (not detour_only) = is_direct then begin
           Obs.incr Obs.Maze_bins_evaluated;
           let e1 = eval1 d1 and e2 = eval2 d2 in
-          let t1 = side_delay dl cfg e1 e1.Run.top_free in
-          let t2 = side_delay dl cfg e2 e2.Run.top_free in
+          let t1 = side1 e1 e1.Run.top_free in
+          let t2 = side2 e2 e2.Run.top_free in
           consider
             {
               bin_center = center;

@@ -38,7 +38,8 @@ val eval_memo :
   Delaylib.t -> Cts_config.t -> Port.t -> max_d:(float[@cts.unit "um"]) ->
   (float[@cts.unit "um"]) -> Run.eval
 (** [eval_memo dl cfg port ~max_d] — a memoizing evaluator for one
-    expansion side: distances quantized through {!cache_key} into a
+    expansion side, over one {!Run.prepare}d evaluator for [port]:
+    distances quantized through {!cache_key} into a
     flat table preallocated for keys up to [max_d] (a hit is a single
     array read). Counts [Obs.Eval_cache_hits]/[Eval_cache_misses].
     Probing a distance beyond [max_d] raises [Invalid_argument].

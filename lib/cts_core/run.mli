@@ -20,7 +20,23 @@
       O(b^2 n^2). Minimizes run delay plus [dp_area_weight] per unit of
       buffer area, subject to every stage meeting the slew target.
 
-    {!eval} dispatches on {!Cts_config.t} [insertion]. *)
+    {!eval} dispatches on {!Cts_config.t} [insertion].
+
+    {b Per-port preparation.} Everything an evaluation reads that
+    depends only on (library, config, port) — buffer caps, areas and
+    load classes, every span either engine consults, the sizing pick
+    above the port stub and above each type's input cap, and the
+    {!Delaylib.fit} handle of every (drive, load class) pair a stage or
+    top wire can use — is resolved once by {!prepare}; each probe of the
+    returned evaluator then reads only that context, and a DP probe runs
+    over reusable, stamp-invalidated scratch and allocates only its
+    result. {!eval} is [prepare] applied once, so
+    there is a single code path and a prepared probe returns exactly
+    (bit for bit) what a fresh {!eval} returns.
+
+    {b Non-finite lengths.} A NaN or infinite [length] yields the
+    buffer-free run with [feasible = false] from both engines (the
+    greedy walk would otherwise never reach the top). *)
 
 type placed = { buf : Circuit.Buffer_lib.t; dist : float }
 (** A buffer planted [dist] um above the port along the run. *)
@@ -80,6 +96,39 @@ val sample_span_gauges : Delaylib.t -> unit
     Domain-safety: reads the arena through the same lock-free atomic
     loads as the hit path; never blocks pool workers. *)
 
+val prepare :
+  ?place:(cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
+          (float[@cts.unit "um"]) option) ->
+  Delaylib.t -> Cts_config.t -> Port.t -> (float[@cts.unit "um"]) -> eval
+  [@@cts.raises "Invalid_argument"]
+(** [prepare dl cfg port] resolves the per-port context (see the module
+    doc) and returns an evaluator equal to [eval dl cfg port] at every
+    length — the maze builds one per expansion side
+    ({!Maze.eval_memo}). The evaluator owns mutable probe scratch: use
+    it from one domain at a time. Raises [Invalid_argument] (at
+    preparation) for a library with no buffer types or a driver it was
+    not characterized for. *)
+
+val prepare_dp :
+  ?positions:(float[@cts.unit "um"]) list ->
+  ?place:(cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
+          (float[@cts.unit "um"]) option) ->
+  Delaylib.t -> Cts_config.t -> Port.t -> (float[@cts.unit "um"]) -> eval
+  [@@cts.raises "Invalid_argument"]
+(** {!prepare} for the DP engine alone: equal to [eval_dp ?positions
+    ?place dl cfg port] at every length. A steady-state probe allocates
+    only its result (the [eval] record and its buffer list). *)
+
+val prepare_top :
+  Delaylib.t -> Cts_config.t -> Port.t -> eval -> (float[@cts.unit "um"]) ->
+  (float[@cts.unit "ps"])
+  [@@cts.raises "Invalid_argument"]
+(** [prepare_top dl cfg port] resolves the per-port context once —
+    among it the assumed-driver handles over the loads a run from
+    [port] can end on (the port stub, each type's input cap); the
+    returned function equals {!Maze.side_delay} for evals of runs from
+    [port]. *)
+
 val eval :
   ?place:(cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
           (float[@cts.unit "um"]) option) ->
@@ -132,7 +181,15 @@ val eval_dp :
 
     Always returns an [eval]; the buffer-free base solution exists even
     when no buffered chain is slew-feasible, and [feasible] reports
-    whether the returned top stub passes the assumed-driver check. *)
+    whether the returned top stub passes the assumed-driver check.
+
+    The kernel is flat: candidate states live in float/int arrays
+    (cost, delay, area, back-pointer) indexed (position, type), fronts
+    are int arrays of types, and the stage- and top-wire-delay memos —
+    keyed (type, load class, length quantized to 0.01 um), the first
+    length seen in a slot supplying its value — are stamped slots
+    filled through {!Delaylib.stage_delay_table} /
+    {!Delaylib.wire_delay_table}. *)
 
 val run_cost :
   Delaylib.t -> Cts_config.t -> eval ->

@@ -26,6 +26,21 @@ type branch_fit = {
   slew_right_fit : Polyfit.surface3;
 }
 
+(* A resolved single-wire fit: one (drive, load class) pair's delay
+   surfaces flattened by {!Polyfit.flat2}, with the clamp domain copied
+   in. Evaluating one skips the tuple-keyed table, the class search and
+   the slew surface [eval_single] pays for. *)
+type fit = {
+  f_slew_lo : float;
+  f_slew_hi : float;
+  f_len_lo : float;
+  f_len_hi : float;
+  f_buf : float array;  (* Polyfit.flat2 of buf_delay_fit *)
+  f_buf_deg : int;
+  f_wire : float array;  (* Polyfit.flat2 of wire_delay_fit *)
+  f_wire_deg : int;
+}
+
 type t = {
   tech : Tech.t;
   buffers : Buffer_lib.t list;
@@ -362,6 +377,81 @@ let eval_single t ~drive ~load_cap ~input_slew ~length =
     wire_delay = Float.max 0. (Polyfit.eval2 f.wire_delay_fit s l);
     wire_slew = Float.max 1e-13 (Polyfit.eval2 f.wire_slew_fit s l);
   }
+
+(* Fit handles. [fit] pays the table lookup and the class search once;
+   the evaluators below then run a flat running-product walk — the
+   same operations, in the same order, as {!Polyfit.eval2} — inline,
+   so the table fillers box nothing at all. *)
+let fit t ~drive ~load_cap =
+  let f = find_single t drive load_cap in
+  {
+    f_slew_lo = t.slew_lo;
+    f_slew_hi = t.slew_hi;
+    f_len_lo = t.len_lo;
+    f_len_hi = t.len_hi;
+    f_buf = Polyfit.flat2 f.buf_delay_fit;
+    f_buf_deg = Polyfit.degree2 f.buf_delay_fit;
+    f_wire = Polyfit.flat2 f.wire_delay_fit;
+    f_wire_deg = Polyfit.degree2 f.wire_delay_fit;
+  }
+
+let[@inline] flat_eval2 (c : float array) deg x y =
+  let xn = (x -. c.(0)) /. c.(1) and yn = (y -. c.(2)) /. c.(3) in
+  let acc = ref 0. in
+  let k = ref 4 in
+  let xp = ref 1. in
+  for i = 0 to deg do
+    let yp = ref 1. in
+    for _j = 0 to deg - i do
+      acc := !acc +. (c.(!k) *. !xp *. !yp);
+      yp := !yp *. yn;
+      incr k
+    done;
+    xp := !xp *. xn
+  done;
+  !acc
+
+(* [clamp] with comparisons instead of [Float.min]/[Float.max] calls,
+   which box their operands. The same value for every input once
+   [lo <= hi] (NaN passes through both), and the domains are positive,
+   so no signed-zero case arises. *)
+let[@inline] clamp_unboxed (lo : float) hi x =
+  if x < lo then lo else if x > hi then hi else x
+
+let[@inline] fit_stage h input_slew length =
+  let s = clamp_unboxed h.f_slew_lo h.f_slew_hi input_slew in
+  let l = clamp_unboxed h.f_len_lo h.f_len_hi length in
+  Float.max 0. (flat_eval2 h.f_buf h.f_buf_deg s l)
+  +. Float.max 0. (flat_eval2 h.f_wire h.f_wire_deg s l)
+
+let[@inline] fit_wire h input_slew length =
+  let s = clamp_unboxed h.f_slew_lo h.f_slew_hi input_slew in
+  let l = clamp_unboxed h.f_len_lo h.f_len_hi length in
+  Float.max 0. (flat_eval2 h.f_wire h.f_wire_deg s l)
+
+let stage_delay h ~input_slew ~length =
+  Obs.incr Obs.Delay_evals_single;
+  fit_stage h input_slew length
+
+let wire_delay h ~input_slew ~length =
+  Obs.incr Obs.Delay_evals_single;
+  fit_wire h input_slew length
+
+(* The table is allocated here and written only by the returned
+   filler, so the storage stays private to whoever holds the pair. *)
+let stage_delay_table n =
+  let tab = Array.make n 0. in
+  ( tab,
+    fun h ~input_slew lens k i ->
+      Obs.incr Obs.Delay_evals_single;
+      tab.(i) <- fit_stage h input_slew lens.(k) )
+
+let wire_delay_table n =
+  let tab = Array.make n 0. in
+  ( tab,
+    fun h ~input_slew lens k i ->
+      Obs.incr Obs.Delay_evals_single;
+      tab.(i) <- fit_wire h input_slew lens.(k) )
 
 let eval_branch t ~drive ~load_cap_left ~load_cap_right ~input_slew ~len_left
     ~len_right =

@@ -76,6 +76,55 @@ val eval_single :
 (** Look up a single-wire component. Inputs are clamped into the
     characterized domain. *)
 
+(** {2 Fit handles}
+
+    A handle is one (drive, load class) single-wire fit resolved ahead
+    of time: the table lookup and the load-class search happen once, in
+    {!fit}, and every evaluation after that is a flat polynomial walk
+    over the two delay surfaces alone (no slew surface). Callers that evaluate the
+    same (drive, class) pair many times — the run evaluator resolves its
+    handles once per port ({!Run.prepare}) — hold handles instead of
+    calling {!eval_single}.
+
+    Every evaluator returns exactly (bit for bit) the corresponding
+    {!eval_single} field sum, with the same input clamping, and counts
+    one {!Obs.Delay_evals_single} per call, so switching a call site to
+    a handle moves neither results nor counters. Handles are immutable
+    and safe to share across domains. *)
+
+type fit
+
+val fit : t -> drive:Circuit.Buffer_lib.t -> load_cap:float -> fit
+  [@@cts.raises "Invalid_argument"]
+(** The handle for [drive] into the load class of [load_cap]; raises
+    [Invalid_argument] for a drive the library was not characterized
+    for, as {!eval_single} does. *)
+
+val stage_delay : fit -> input_slew:float -> length:float -> float
+(** [buf_delay +. wire_delay] of {!eval_single} at the same inputs. *)
+
+val wire_delay : fit -> input_slew:float -> length:float -> float
+(** [wire_delay] of {!eval_single} at the same inputs. *)
+
+val stage_delay_table :
+  int ->
+  (float[@cts.unit "ps"]) array
+  * (fit -> input_slew:float -> (float[@cts.unit "um"]) array -> int -> int ->
+     unit)
+(** [let tab, fill = stage_delay_table n] — a table of [n] stage delays
+    (initially 0) and its filler: [fill h ~input_slew lens k i] stores
+    [stage_delay h ~input_slew ~length:lens.(k)] into [tab.(i)]. The
+    allocation-free form — no float crosses a call boxed — that the run
+    evaluator's per-probe memo fill relies on. The table is written
+    only through [fill]; whoever holds the pair owns it. *)
+
+val wire_delay_table :
+  int ->
+  (float[@cts.unit "ps"]) array
+  * (fit -> input_slew:float -> (float[@cts.unit "um"]) array -> int -> int ->
+     unit)
+(** {!wire_delay} in the same table-and-filler form. *)
+
 type branch_eval = {
   delay_left : float;
   delay_right : float;

@@ -123,6 +123,12 @@ let eval2 s x y =
   done;
   !acc
 
+(* The flat copy behind {!flat2}: same normalization, same coefficient
+   order, so a caller's running-product walk over it reproduces [eval2]
+   term for term. *)
+let flat2 s = Array.append [| s.cx2; s.hx2; s.cy2; s.hy2 |] s.coefs2
+let degree2 s = s.degree2
+
 let fit3 ~degree pts zs =
   let n = Array.length pts in
   if n <> Array.length zs then invalid_arg "Polyfit.fit3: length mismatch";

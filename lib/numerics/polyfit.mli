@@ -34,6 +34,18 @@ val fit2 :
 val eval2 : surface2 -> float -> float -> float
 (** Allocation-free evaluation (cached-powers loop). *)
 
+val flat2 : surface2 -> float array
+(** A fresh copy of the surface as one float array:
+    [[| cx; hx; cy; hy; c_0; ...; c_(n-1) |]] — the per-axis
+    normalization ([xn = (x - cx) / hx], likewise [y]) followed by the
+    coefficients in the canonical monomial order. For hot loops that
+    must not box a float per {!eval2} call: walking this array with
+    {!eval2}'s running products ([acc += c_k * xp * yp], [i] ascending
+    then [j] ascending) is bit-identical to {!eval2}. *)
+
+val degree2 : surface2 -> int
+(** Total degree bound the surface was fitted with. *)
+
 val fit3 :
   degree:int -> (float * float * float) array -> float array -> surface3
   [@@cts.raises "Failure,Invalid_argument"]

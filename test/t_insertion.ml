@@ -9,6 +9,10 @@
      — the Li-Shi pruning must lose nothing;
    - DP-synthesized trees pass the Ctree_check invariant verifier and
      are bit-identical at any domain-pool size;
+   - a prepared evaluator, probed over a sequence of lengths with
+     repeats, returns bit for bit what a fresh evaluation returns (stale
+     probe scratch would show), and the delay-library fit handles are
+     bit-equal to eval_single;
    - a 5-cell characterized library yields a mixed-cell tree whose QoR
      snapshot is gated against a committed golden fixture. *)
 
@@ -203,6 +207,102 @@ let qcheck_dp_matches_brute_force =
           && not (strictly_better dp_s bf_s))
 
 (* ------------------------------------------------------------------ *)
+(* Prepared evaluators vs fresh evaluations                            *)
+
+(* Bit equality on every field of an eval: float fields through
+   [Int64.bits_of_float], buffers by cell name and position bits. *)
+let same_eval (a : Run.eval) (b : Run.eval) =
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let chain (e : Run.eval) =
+    List.map
+      (fun (p : Run.placed) ->
+        (p.Run.buf.Circuit.Buffer_lib.name, Int64.bits_of_float p.Run.dist))
+      e.Run.buffers
+  in
+  bits a.Run.delay_below b.Run.delay_below
+  && bits a.Run.top_free b.Run.top_free
+  && bits a.Run.top_stub_len b.Run.top_stub_len
+  && bits a.Run.top_load b.Run.top_load
+  && chain a = chain b
+  && Bool.equal a.Run.feasible b.Run.feasible
+
+(* A port (half of them stub-free), a DP grid, and a probe sequence
+   drawn from a few distinct lengths (0.01 um resolution) so the same
+   length comes back after other lengths have dirtied the scratch. *)
+let probe_gen =
+  QCheck.Gen.(
+    let* port = port_gen in
+    let* stubless = bool in
+    let* grid = oneofl [ 2; 5; 16 ] in
+    let* pool = list_size (int_range 1 5) (int_range 1_000 400_000) in
+    let pool = Array.of_list pool in
+    let+ seq =
+      list_size (int_range 2 14) (int_range 0 (Array.length pool - 1))
+    in
+    ( (if stubless then { port with stub_um = 0 } else port),
+      grid,
+      List.map (fun i -> float_of_int pool.(i) /. 100.) seq ))
+
+let probe_arb =
+  QCheck.make probe_gen ~print:(fun (d, grid, lens) ->
+      Printf.sprintf "port{cap=%dfF delay=%dps stub=%dum} grid=%d lengths=[%s]"
+        d.cap_ff d.delay_ps d.stub_um grid
+        (String.concat ";" (List.map (Printf.sprintf "%.2f") lens)))
+
+let qcheck_prepared_matches_fresh =
+  QCheck.Test.make
+    ~name:"prepared evaluators = fresh eval_greedy / eval_dp / eval (bits)"
+    ~count:60 probe_arb (fun (pd, grid, lens) ->
+      let dl = T_env.get_dl () in
+      let dp = dp_cfg ~grid dl in
+      let greedy = Cts_config.with_insertion dp Cts_config.Greedy in
+      let port = make_port pd in
+      let pg = Run.prepare dl greedy port
+      and pdp = Run.prepare_dp dl dp port
+      and pe = Run.prepare dl dp port in
+      List.for_all
+        (fun len ->
+          same_eval (pg len) (Run.eval_greedy dl greedy port len)
+          && same_eval (pdp len) (Run.eval_dp dl dp port len)
+          && same_eval (pe len) (Run.eval dl dp port len))
+        lens)
+
+(* Handles against the table-and-hash lookup, over inputs reaching
+   outside the characterized domain on both axes (clamped) and load
+   caps outside the class range. *)
+let fit_gen =
+  QCheck.Gen.(
+    let* drive = int_range 0 2 in
+    let* cap_e = float_range (-16.5) (-12.5) in
+    let* slew_ps = float_range 0. 400. in
+    let+ len = float_range (-100.) 3000. in
+    (drive, 10. ** cap_e, slew_ps *. 1e-12, len))
+
+let fit_arb =
+  QCheck.make fit_gen ~print:(fun (d, cap, slew, len) ->
+      Printf.sprintf "drive=%d cap=%gF slew=%gs length=%gum" d cap slew len)
+
+let qcheck_fit_handles_match_eval_single =
+  QCheck.Test.make ~name:"Delaylib fit handles = eval_single (bits)"
+    ~count:300 fit_arb (fun (di, load_cap, input_slew, length) ->
+      let dl = T_env.get_dl () in
+      let drive = List.nth (Delaylib.buffers dl) di in
+      let e = Delaylib.eval_single dl ~drive ~load_cap ~input_slew ~length in
+      let h = Delaylib.fit dl ~drive ~load_cap in
+      let bits x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      in
+      let stage = e.Delaylib.buf_delay +. e.Delaylib.wire_delay in
+      let stab, sfill = Delaylib.stage_delay_table 2 in
+      let wtab, wfill = Delaylib.wire_delay_table 2 in
+      sfill h ~input_slew [| 0.; length |] 1 1;
+      wfill h ~input_slew [| length |] 0 0;
+      bits stage (Delaylib.stage_delay h ~input_slew ~length)
+      && bits e.Delaylib.wire_delay (Delaylib.wire_delay h ~input_slew ~length)
+      && bits stage stab.(1)
+      && bits e.Delaylib.wire_delay wtab.(0))
+
+(* ------------------------------------------------------------------ *)
 (* Whole-flow properties: checked synthesis and domain determinism     *)
 
 let descriptor_gen =
@@ -317,6 +417,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_dp_matches_brute_force;
     QCheck_alcotest.to_alcotest qcheck_dp_synthesis_verifies;
     QCheck_alcotest.to_alcotest qcheck_dp_deterministic_across_domains;
+    QCheck_alcotest.to_alcotest qcheck_prepared_matches_fresh;
+    QCheck_alcotest.to_alcotest qcheck_fit_handles_match_eval_single;
     Alcotest.test_case "five-cell library: mixed cells, gated vs fixture"
       `Slow test_five_cell_mixed_and_gated;
   ]

@@ -188,9 +188,43 @@ let useful_skew_scheduling () =
   Alcotest.(check bool) "slew still met" true
     (m.Ctree_sim.worst_slew <= 100e-12)
 
+(* A NaN or infinite run length never satisfies the greedy walk's top
+   test; every entry point must still return at once: the buffer-free
+   run, marked infeasible. *)
+let non_finite_run_length () =
+  let dl = T_env.get_dl () in
+  let greedy = Cts_config.default dl in
+  let dp = Cts_config.with_insertion greedy Cts_config.Optimal_dp in
+  let port =
+    Port.of_sink { Sinks.name = "nf"; pos = P.make 0. 0.; cap = 10e-15 }
+  in
+  List.iter
+    (fun length ->
+      List.iter
+        (fun (label, eval) ->
+          let t0 = Sys.time () in
+          let e = eval length in
+          let what = Printf.sprintf "%s at %g" label length in
+          Alcotest.(check bool) (what ^ ": infeasible") false e.Run.feasible;
+          Alcotest.(check int) (what ^ ": no buffers") 0
+            (List.length e.Run.buffers);
+          check_f 0. (what ^ ": port delay") port.Port.delay e.Run.delay_below;
+          Alcotest.(check bool) (what ^ ": well under a second") true
+            (Sys.time () -. t0 < 0.5))
+        [
+          ("eval_greedy", Run.eval_greedy dl greedy port);
+          ("eval_dp", Run.eval_dp dl dp port);
+          ("eval greedy", Run.eval dl greedy port);
+          ("eval dp", Run.eval dl dp port);
+          ("prepared greedy", Run.prepare dl greedy port);
+          ("prepared dp", Run.prepare dl dp port);
+        ])
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   [
     Alcotest.test_case "useful skew" `Slow useful_skew_scheduling;
+    Alcotest.test_case "non-finite run length" `Quick non_finite_run_length;
     Alcotest.test_case "coincident sinks" `Slow coincident_sinks;
     Alcotest.test_case "two near sinks" `Quick two_sinks_minimal;
     Alcotest.test_case "extreme cap ratio" `Quick extreme_cap_ratio;
