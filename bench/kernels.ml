@@ -142,12 +142,13 @@ and hot_kernels (env : Experiments.env) =
   let b20 = Buffer_lib.by_name lib "BUF20X" in
   let cfg = Cts_config.default dl in
   let p1 = Port.of_sink (List.hd (mk_specs 25 4000. 11)) in
+  let ctx = Run.context dl cfg in
   let t_hot_span =
-    Test.make ~name:"hot-span: Run.span arena hit"
+    Test.make ~name:"hot-span: Run.span context lookup"
       (Staged.stage (fun () ->
-           ignore (Run.span dl cfg ~drive:b20 ~load_cap:5e-15)))
+           ignore (Run.span ctx ~drive:b20 ~load_cap:5e-15)))
   in
-  let maze_memo = Maze.eval_memo dl cfg p1 ~max_d:3000. in
+  let maze_memo = Maze.eval_memo ctx p1 ~max_d:3000. in
   let t_hot_maze =
     Test.make ~name:"hot-maze: Maze.eval_memo hit"
       (Staged.stage (fun () -> ignore (maze_memo 1234.5)))
@@ -182,8 +183,8 @@ and hot_kernels (env : Experiments.env) =
   (* A 2000 um run from a sink under the default 16-slot grid: a dozen
      stage-delay memo fills and a two-buffer chain per probe. *)
   let dp_probe =
-    Run.prepare_dp dl
-      (Cts_config.with_insertion cfg Cts_config.Optimal_dp)
+    Run.prepare_dp
+      (Run.context dl (Cts_config.with_insertion cfg Cts_config.Optimal_dp))
       p1
   in
   let t_hot_dp =
@@ -244,7 +245,7 @@ let run env =
 
 (* CI gate behind `make bench-smoke`: measure only the hot kernels and
    fail when any allocates beyond the budget, locking in the zero-
-   allocation property the flattened arena/memo work bought. *)
+   allocation property of the flat lookups and memos. *)
 let alloc_gate env =
   print_endline "=== hot-kernel allocation gate (Bechamel) ===";
   let cfg_b =

@@ -131,18 +131,39 @@ let load_dl profile cache =
   Delaylib.load_or_characterize ~profile ~cache Circuit.Tech.default
     Circuit.Buffer_lib.default_library
 
+(* Bad input is the user's error, not the program's: one line on
+   stderr and exit 2, before any library is loaded. *)
+let input_error msg =
+  Printf.eprintf "cts_run: invalid input: %s\n" msg;
+  exit 2
+
+(* The one place sinks are loaded: a parse failure, an unreadable file
+   or a sink set [Sinks.validate] rejects all take the input-error
+   path. *)
 let sinks_of ~bench ~file ~format ~scale =
-  match (bench, file) with
-  | Some name, None ->
-      let d = Bmark.Synthetic.find name in
-      let d = if scale < 1. then Bmark.Synthetic.scaled d scale else d in
-      Bmark.Synthetic.sinks d
-  | None, Some path -> (
-      match format with
-      | `Gsrc -> fst (Bmark.Gsrc_format.parse_file path)
-      | `Ispd -> (Bmark.Ispd_format.parse_file path).Bmark.Ispd_format.sinks)
-  | None, None -> failwith "specify --bench or --file"
-  | Some _, Some _ -> failwith "--bench and --file are mutually exclusive"
+  let sinks =
+    try
+      match (bench, file) with
+      | Some name, None ->
+          let d =
+            match Bmark.Synthetic.find name with
+            | d -> d
+            | exception Not_found -> failwith ("unknown benchmark " ^ name)
+          in
+          let d = if scale < 1. then Bmark.Synthetic.scaled d scale else d in
+          Bmark.Synthetic.sinks d
+      | None, Some path -> (
+          match format with
+          | `Gsrc -> fst (Bmark.Gsrc_format.parse_file path)
+          | `Ispd ->
+              (Bmark.Ispd_format.parse_file path).Bmark.Ispd_format.sinks)
+      | None, None -> failwith "specify --bench or --file"
+      | Some _, Some _ -> failwith "--bench and --file are mutually exclusive"
+    with Failure msg | Sys_error msg -> input_error msg
+  in
+  match Sinks.validate sinks with
+  | [] -> sinks
+  | errs -> input_error (String.concat "; " errs)
 
 let report_metrics label tree (m : Ctree_sim.metrics) =
   Printf.printf "%s\n  %s\n" label (Format.asprintf "%a" Ctree.pp_summary tree);
@@ -267,7 +288,6 @@ let synth_cmd =
     setup_logs verbose;
     setup_domains domains;
     with_obs ~stats ~trace @@ fun () ->
-    let dl = Obs.phase "load-library" (fun () -> load_dl profile cache) in
     let sinks, blocks =
       if n_blockages > 0 then begin
         match bench with
@@ -279,6 +299,7 @@ let synth_cmd =
       end
       else (sinks_of ~bench ~file ~format ~scale, [])
     in
+    let dl = Obs.phase "load-library" (fun () -> load_dl profile cache) in
     let config =
       {
         (Cts_config.default dl) with

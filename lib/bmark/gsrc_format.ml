@@ -23,12 +23,18 @@ let parse text =
       let lineno = i + 1 in
       match tokens line with
       | [] -> ()
-      | [ "NumPins"; ":"; n ] | [ "NumPins:"; n ] ->
-          declared := Some (int_of_string n)
-      | [ "UnitRes"; ":"; v ] | [ "UnitRes:"; v ] ->
-          unit_res := Some (float_of_string v)
-      | [ "UnitCap"; ":"; v ] | [ "UnitCap:"; v ] ->
-          unit_cap := Some (float_of_string v)
+      | [ "NumPins"; ":"; n ] | [ "NumPins:"; n ] -> (
+          match int_of_string_opt n with
+          | Some n -> declared := Some n
+          | None -> fail lineno ("bad NumPins " ^ n))
+      | [ "UnitRes"; ":"; v ] | [ "UnitRes:"; v ] -> (
+          match float_of_string_opt v with
+          | Some v -> unit_res := Some v
+          | None -> fail lineno ("bad UnitRes " ^ v))
+      | [ "UnitCap"; ":"; v ] | [ "UnitCap:"; v ] -> (
+          match float_of_string_opt v with
+          | Some v -> unit_cap := Some v
+          | None -> fail lineno ("bad UnitCap " ^ v))
       | [ x; y; cap ] -> (
           match
             (float_of_string_opt x, float_of_string_opt y,

@@ -12,7 +12,13 @@ let validate specs =
       if Hashtbl.mem seen s.name then
         errors := Printf.sprintf "duplicate sink name %s" s.name :: !errors;
       Hashtbl.replace seen s.name ();
-      if s.cap <= 0. then
-        errors := Printf.sprintf "sink %s has non-positive cap" s.name :: !errors)
+      let bad what =
+        errors := Printf.sprintf "sink %s has %s" s.name what :: !errors
+      in
+      let { Geometry.Point.x; y } = s.pos in
+      if not (Float.is_finite x && Float.is_finite y) then
+        bad "a non-finite position";
+      if not (Float.is_finite s.cap) then bad "a non-finite cap"
+      else if s.cap <= 0. then bad "non-positive cap")
     specs;
   List.rev !errors

@@ -15,4 +15,5 @@ val bbox : spec list -> Geometry.Bbox.t
     an empty list. *)
 
 val validate : spec list -> string list
-(** Violations: duplicate names, non-positive capacitance, empty list. *)
+(** Violations: duplicate names, a non-finite coordinate, a non-finite
+    or non-positive capacitance, an empty list. *)

@@ -17,7 +17,7 @@ type result = {
 }
 
 type state = {
-  dl : Delaylib.t;
+  ctx : Run.ctx;
   cfg : Cts_config.t;
   blockages : Blockage.t;
   children : (int, Port.t * Port.t) Hashtbl.t;
@@ -64,7 +64,7 @@ let entries_of sc = List.rev sc.log
    (H-structure correction explores merges it may discard). *)
 let do_merge sc ~commit a b =
   let port, s =
-    Merge_routing.merge ~blockages:sc.st.blockages sc.st.dl sc.st.cfg a b
+    Merge_routing.merge_ctx ~blockages:sc.st.blockages sc.st.ctx a b
   in
   record sc (Child (port.Port.node.Ctree.id, (a, b)));
   if commit then record sc (Stats s);
@@ -169,9 +169,11 @@ let finalize dl (cfg : Cts_config.t) st (root_port : Port.t) ~levels =
     flippings = st.flips;
   }
 
+(* The one run context of a synthesis, shared read-only by every merge
+   task. *)
 let fresh_state dl cfg blockages =
   {
-    dl;
+    ctx = Run.context dl cfg;
     cfg;
     blockages;
     children = Hashtbl.create 256;
@@ -330,7 +332,7 @@ let synthesize ?config ?(blockages = Blockage.empty) ?pool ?(check = false) dl
     in
     (* Every pair of a level is independent: fan the merge-routing out
        across the pool. Tasks read the shared state (children table,
-       delay library, span cache) but defer all writes to their logs;
+       run context) but defer all writes to their logs;
        the replay below happens in pair order, making the result — tree
        structure, netlist and counters — bit-identical to a sequential
        run.
@@ -372,9 +374,6 @@ let synthesize ?config ?(blockages = Blockage.empty) ?pool ?(check = false) dl
       (Obs.read Obs.Merges_routed - merges0);
     Obs.hist_add Obs.Dp_candidates_per_level ~bucket:!levels
       (Obs.read Obs.Dp_candidates - dp_cands0);
-    (* Phase-boundary sample: the final level's write is the snapshot's
-       end-of-synthesis arena occupancy. *)
-    Run.sample_span_gauges dl;
     Log.debug (fun m ->
         m "level %d: %d -> %d subtrees" !levels (Array.length items)
           (List.length !next));

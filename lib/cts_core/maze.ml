@@ -10,11 +10,6 @@ type choice = {
   bins_per_dim : int;
 }
 
-let side_delay dl (cfg : Cts_config.t) (e : Run.eval) top_wire =
-  let length = top_wire +. (e.Run.top_stub_len -. e.Run.top_free) in
-  let h = Delaylib.fit dl ~drive:cfg.assumed_driver ~load_cap:e.Run.top_load in
-  e.Run.delay_below +. Delaylib.wire_delay h ~input_slew:cfg.slew_target ~length
-
 (* The cap clamps last so it binds even against [grid_bins]: with the
    old [max grid_bins (min cap wanted)] order a config carrying
    [grid_bins > max_grid_bins] silently exceeded the cap ([Cts_config]
@@ -34,13 +29,13 @@ let cache_key d = int_of_float (Float.round (d *. 10.))
    key — the farthest probe distance is known up front, so the table is
    preallocated once per side and a hit is one array read: no boxed-int
    keys, no hashing. *)
-let eval_memo dl cfg port ~max_d =
+let eval_memo ctx port ~max_d =
   let table = Array.make (Int.max 0 (cache_key max_d) + 2) None in
   (* Table size is a pure function of the probe geometry, so the
      additive gauge total is schedule-independent; with the
      Eval_cache_misses counter it yields the memo fill rate. *)
   Obs.gauge_add Obs.Maze_memo_slots (Array.length table);
-  let probe = Run.prepare dl cfg port in
+  let probe = Run.prepare ctx port in
   fun d ->
     let key = cache_key d in
     match table.(key) with
@@ -53,8 +48,9 @@ let eval_memo dl cfg port ~max_d =
         table.(key) <- Some e;
         e
 
-let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
+let select_ctx ctx (p1 : Port.t) (p2 : Port.t) =
   Obs.incr Obs.Maze_selects;
+  let cfg = Run.config ctx in
   let pos1 = Port.pos p1 and pos2 = Port.pos p2 in
   let direct = Point.manhattan pos1 pos2 in
   let span = Float.max direct 1. in
@@ -83,9 +79,8 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
     Float.max (pos.Point.x -. xmin) (xmax -. pos.Point.x)
     +. Float.max (pos.Point.y -. ymin) (ymax -. pos.Point.y)
   in
-  let eval1 = eval_memo dl cfg p1 ~max_d:(max_d_from pos1)
-  and eval2 = eval_memo dl cfg p2 ~max_d:(max_d_from pos2) in
-  let side1 = Run.prepare_top dl cfg p1 and side2 = Run.prepare_top dl cfg p2 in
+  let eval1 = eval_memo ctx p1 ~max_d:(max_d_from pos1)
+  and eval2 = eval_memo ctx p2 ~max_d:(max_d_from pos2) in
   let best = ref None in
   let consider (c : choice) =
     let better =
@@ -113,8 +108,8 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
         if (not detour_only) = is_direct then begin
           Obs.incr Obs.Maze_bins_evaluated;
           let e1 = eval1 d1 and e2 = eval2 d2 in
-          let t1 = side1 e1 e1.Run.top_free in
-          let t2 = side2 e2 e2.Run.top_free in
+          let t1 = Run.top_delay ctx e1 e1.Run.top_free in
+          let t2 = Run.top_delay ctx e2 e2.Run.top_free in
           consider
             {
               bin_center = center;
@@ -135,3 +130,5 @@ let select dl (cfg : Cts_config.t) (p1 : Port.t) (p2 : Port.t) =
     -> ()
   | _ -> scan ~detour_only:true);
   match !best with Some b -> b | None -> assert false
+
+let select dl cfg p1 p2 = select_ctx (Run.context dl cfg) p1 p2

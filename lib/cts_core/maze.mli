@@ -35,9 +35,9 @@ val cache_key : (float[@cts.unit "um"]) -> int
     the rounding regression test. *)
 
 val eval_memo :
-  Delaylib.t -> Cts_config.t -> Port.t -> max_d:(float[@cts.unit "um"]) ->
+  Run.ctx -> Port.t -> max_d:(float[@cts.unit "um"]) ->
   (float[@cts.unit "um"]) -> Run.eval
-(** [eval_memo dl cfg port ~max_d] — a memoizing evaluator for one
+(** [eval_memo ctx port ~max_d] — a memoizing evaluator for one
     expansion side, over one {!Run.prepare}d evaluator for [port]:
     distances quantized through {!cache_key} into a
     flat table preallocated for keys up to [max_d] (a hit is a single
@@ -47,14 +47,12 @@ val eval_memo :
     across domains. Exposed for the micro-benchmarks and the
     memo-vs-direct oracle test. *)
 
-val side_delay :
-  Delaylib.t -> Cts_config.t -> Run.eval -> (float[@cts.unit "um"]) ->
-  (float[@cts.unit "ps"])
-(** [side_delay dl cfg e top_wire] — delay of one side through its top
-    wire of the given length, under the assumed-driver model (driver
-    intrinsic delay excluded; it is common to both sides). *)
-
-val select : Delaylib.t -> Cts_config.t -> Port.t -> Port.t -> choice
+val select_ctx : Run.ctx -> Port.t -> Port.t -> choice
 (** Run the bi-directional expansion and return the best merge bin.
     Near-direct bins (no detour) are scanned first; detour bins are only
-    explored when the direct scan leaves residual skew. *)
+    explored when the direct scan leaves residual skew. Each side's
+    delay is {!Run.top_delay} at the bin. *)
+
+val select : Delaylib.t -> Cts_config.t -> Port.t -> Port.t -> choice
+  [@@cts.raises "Invalid_argument"]
+(** {!select_ctx} on a fresh {!Run.context}. *)

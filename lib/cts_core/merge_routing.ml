@@ -11,9 +11,9 @@ type stats = {
 (* Delay a fully buffered run of [length] um starting at [port] can add:
    the routing stage can spend at most this much extra delay on the
    faster side without detours. *)
-let balance_capacity dl cfg (port : Port.t) length =
-  let e = Run.eval dl cfg port length in
-  let with_top = Maze.side_delay dl cfg e e.Run.top_free in
+let balance_capacity ctx (port : Port.t) length =
+  let e = Run.prepare ctx port length in
+  let with_top = Run.top_delay ctx e e.Run.top_free in
   Float.max 0. (with_top -. port.Port.delay)
 
 (* --------------------------------------------------------------- *)
@@ -22,11 +22,11 @@ let balance_capacity dl cfg (port : Port.t) length =
 (* Insert one snaking stage (driving buffer + wire grown toward the slew
    budget) on top of [port]; the wire is folded in place, so the port
    position does not move. *)
-let snake_stage dl (cfg : Cts_config.t) ~blockages (port : Port.t) ~max_delay =
+let snake_stage ctx ~blockages (port : Port.t) ~max_delay =
   Obs.incr Obs.Snake_stages;
-  let tech = Delaylib.tech dl in
+  let tech = Delaylib.tech (Run.library ctx) in
   let buf, buf_span =
-    Run.choose_buffer dl cfg ~stub_len:port.Port.stub_len
+    Run.choose_buffer ctx ~stub_len:port.Port.stub_len
       ~load_cap:port.Port.stub_load
   in
   if buf_span <= 1. then None
@@ -34,7 +34,7 @@ let snake_stage dl (cfg : Cts_config.t) ~blockages (port : Port.t) ~max_delay =
     (* Grow the wire until the slew budget or the remaining delay target
        is reached, whichever is first. *)
     let delay_of len =
-      Run.stage_delay dl cfg buf ~length:(len +. port.Port.stub_len)
+      Run.stage_delay ctx buf ~length:(len +. port.Port.stub_len)
         ~load_cap:port.Port.stub_load
     in
     let len =
@@ -60,16 +60,16 @@ let snake_stage dl (cfg : Cts_config.t) ~blockages (port : Port.t) ~max_delay =
     Some (port', len)
   end
 
-let balance dl (cfg : Cts_config.t) ~blockages (p1 : Port.t) (p2 : Port.t) =
+let balance ctx ~blockages (p1 : Port.t) (p2 : Port.t) =
   let dist = Point.manhattan (Port.pos p1) (Port.pos p2) in
   let snaked = ref 0. in
   let rec fix fast slow =
     let diff = slow.Port.delay -. fast.Port.delay in
-    let capacity = balance_capacity dl cfg fast dist in
+    let capacity = balance_capacity ctx fast dist in
     if diff <= 0.8 *. capacity then fast
     else
       match
-        snake_stage dl cfg ~blockages fast ~max_delay:(diff -. (0.5 *. capacity))
+        snake_stage ctx ~blockages fast ~max_delay:(diff -. (0.5 *. capacity))
       with
       | None -> fast
       | Some (fast', len) ->
@@ -117,15 +117,16 @@ let candidate_tree ~pos ~v1 ~v2 ~w1 ~w2 =
       Ctree.edge ~length:(Float.max w2 (Point.manhattan pos v2.Ctree.pos)) v2;
     ]
 
-let binary_search dl (cfg : Cts_config.t) ~(e1 : Run.eval) ~(e2 : Run.eval)
-    ~v1 ~v2 ~(seg : Lpath.t) =
+let binary_search ctx ~(e1 : Run.eval) ~(e2 : Run.eval) ~v1 ~v2
+    ~(seg : Lpath.t) =
+  let dl = Run.library ctx and cfg = Run.config ctx in
   let seg_len = Lpath.length seg in
   (* Feasibility clamp: neither arm may outgrow what the strongest buffer
      (which the merge-node guard can plant) can drive within the slew
      target; 0.9 margin absorbs sibling-branch loading. *)
   let strongest = Buffer_lib.largest (Delaylib.buffers dl) in
   let arm_cap (e : Run.eval) =
-    0.9 *. Run.span dl cfg ~drive:strongest ~load_cap:e.Run.top_load
+    0.9 *. Run.span ctx ~drive:strongest ~load_cap:e.Run.top_load
     -. (e.Run.top_stub_len -. e.Run.top_free)
   in
   let w1_max = Float.max 0. (arm_cap e1) in
@@ -197,19 +198,20 @@ let placer blockages path ~cur d_ideal =
           None
   end
 
-let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
+let merge_ctx ?(blockages = Blockage.empty) ctx p1 p2 =
   Obs.incr Obs.Merges_routed;
+  let dl = Run.library ctx and cfg = Run.config ctx in
   let tech = Delaylib.tech dl in
   (* Stage 1: balance. *)
   let p1, p2, snaked =
-    if cfg.enable_balance then balance dl cfg ~blockages p1 p2
+    if cfg.enable_balance then balance ctx ~blockages p1 p2
     else (p1, p2, 0.)
   in
   (* Stage 2: route. The maze scan uses blockage-free estimates (wires
      may cross blockages; only buffer positions shift, and only
      slightly); the chosen runs are re-evaluated with legalized buffer
      placements before materialization. *)
-  let choice = Maze.select dl cfg p1 p2 in
+  let choice = Maze.select_ctx ctx p1 p2 in
   let path1 = Blockage.best_path blockages (Port.pos p1) choice.Maze.bin_center in
   let path2 = Blockage.best_path blockages (Port.pos p2) choice.Maze.bin_center in
   let e1, e2 =
@@ -217,9 +219,9 @@ let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
     else
       (* Detoured paths may be longer than the maze's Manhattan estimate;
          re-evaluate with the real path lengths and legalized placement. *)
-      ( Run.eval ~place:(placer blockages path1) dl cfg p1
+      ( Run.prepare ~place:(placer blockages path1) ctx p1
           (Lpath.length path1),
-        Run.eval ~place:(placer blockages path2) dl cfg p2
+        Run.prepare ~place:(placer blockages path2) ctx p2
           (Lpath.length path2) )
   in
   let direct = Point.manhattan (Port.pos p1) (Port.pos p2) in
@@ -232,7 +234,7 @@ let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
   let seg = Lpath.make v1.Ctree.pos v2.Ctree.pos in
   let seg_len = Lpath.length seg in
   let r, residual =
-    if cfg.enable_binary_search then binary_search dl cfg ~e1 ~e2 ~v1 ~v2 ~seg
+    if cfg.enable_binary_search then binary_search ctx ~e1 ~e2 ~v1 ~v2 ~seg
     else (0.5, 0.)
   in
   let m_pos = Lpath.point_at seg (r *. seg_len) in
@@ -266,7 +268,7 @@ let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
   in
   let node, extra_buf, analysis_root =
     if needs_buffer then begin
-      let pick, _ = Run.choose_buffer dl cfg ~stub_len:0. ~load_cap:stub_load in
+      let pick, _ = Run.choose_buffer ctx ~stub_len:0. ~load_cap:stub_load in
       (* The planted buffer must itself keep the stage slew legal; fall
          back to the strongest type when the sized pick cannot. *)
       let buf =
@@ -314,3 +316,6 @@ let merge ?(blockages = Blockage.empty) dl (cfg : Cts_config.t) p1 p2 =
       residual;
       detoured;
     } )
+
+let merge ?blockages dl cfg p1 p2 =
+  merge_ctx ?blockages (Run.context dl cfg) p1 p2

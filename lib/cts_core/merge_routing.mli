@@ -24,9 +24,8 @@ type stats = {
   detoured : bool;  (** The chosen bin lies off the direct region. *)
 }
 
-val merge :
-  ?blockages:Blockage.t -> Delaylib.t -> Cts_config.t -> Port.t -> Port.t ->
-  Port.t * stats
+val merge_ctx :
+  ?blockages:Blockage.t -> Run.ctx -> Port.t -> Port.t -> Port.t * stats
   [@@cts.raises "Invalid_argument"]
 (** Merge two subtrees into one, returning the merged port (rooted at a
     {!Ctree.Merge} node, or at a {!Ctree.Buf} when the merge-node stub
@@ -34,6 +33,12 @@ val merge :
     along the paths, by wire snaking, or on the merge node are legalized
     to blockage-free locations (wires may still cross blockages, per the
     ISPD 2009 rules). *)
+
+val merge :
+  ?blockages:Blockage.t -> Delaylib.t -> Cts_config.t -> Port.t -> Port.t ->
+  Port.t * stats
+  [@@cts.raises "Invalid_argument"]
+(** {!merge_ctx} on a fresh {!Run.context}. *)
 
 val placer :
   Blockage.t -> Lpath.t -> cur:(float[@cts.unit "um"]) ->
@@ -50,8 +55,7 @@ val placer :
     end). Exposed for the fully-blocked-path regression test. *)
 
 val balance_capacity :
-  Delaylib.t -> Cts_config.t -> Port.t -> (float[@cts.unit "um"]) ->
-  (float[@cts.unit "ps"])
+  Run.ctx -> Port.t -> (float[@cts.unit "um"]) -> (float[@cts.unit "ps"])
 (** Estimated delay a buffered run of the given length can add to a side
     — the threshold the balance stage compares the delay difference
     against. Exposed for tests and the ablation bench. *)

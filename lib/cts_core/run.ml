@@ -11,257 +11,45 @@ type eval = {
   feasible : bool;
 }
 
-(* Spans depend only on (buffer, load class, slew target); memoize.
-   The memo is an arena, not a hashed-tuple table: one arena per delay
-   library (physical identity), whose cells live in one flat array
-   indexed by (slew-target row, driver-name slot, load-class index) —
-   a span lookup is two short array scans and one array index, with no
-   tuple key allocation and no hashing.
+(* --------------------------------------------------------------- *)
+(* The run context.
 
-   Concurrency: each cell carries an atomic state (empty / computing /
-   ready). The ready fast path is lock-free; the miss computation runs
-   OUTSIDE the global critical section — [span_mutex] only brackets the
-   empty->computing and computing->ready transitions (and layout
-   growth), so first-time characterization of distinct keys proceeds in
-   parallel. The state machine still guarantees each key is computed
-   exactly once process-wide: racing domains used to duplicate the
-   (identical) computation, which was value-safe but made the Obs
-   delay-library evaluation counts schedule-dependent. Exactly one
-   caller takes the empty->computing transition (and counts the one
-   miss); everyone else waits on [span_cond] and counts a hit — the
-   same totals a sequential run reports. *)
-type span_cell = {
-  sc_state : int Atomic.t;  (* 0 empty, 1 computing, 2 ready *)
-  mutable sc_value : float; (* meaningful once [sc_state] = 2 *)
+   Everything a run evaluation reads that depends only on (library,
+   config) is resolved once per synthesis: the buffer types and their
+   caps, areas and load classes; the span table — the longest wire each
+   driver (every library type, then the assumed driver when it is not
+   one) can put before each load class within the slew target; the
+   delay-library fit handle of every (driver, load class) pair; and the
+   sizing pick above each class. A span is a pure function of (driver,
+   load class, slew target) — the delay library keys its fits by class —
+   so the table holds exactly what a memo over queries would. The record
+   is immutable: every domain of the pool reads it unsynchronized. *)
+
+type ctx = {
+  dl : Delaylib.t;
+  cfg : Cts_config.t;
+  types : Buffer_lib.t array;
+  nb : int;
+  caps : float array;
+  areas : float array;
+  ncls : int;
+  cls_of_type : int array;  (* load class of each type's input cap *)
+  drivers : Buffer_lib.t array;  (* table rows: the types, [+ assumed] *)
+  assumed : int;  (* row of the assumed driver *)
+  spans : float array;  (* row * ncls + class *)
+  fits : Delaylib.fit array;  (* row * ncls + class *)
+  reach : float array;  (* class: top_margin * assumed-driver span *)
+  pick : int array;  (* class: sizing pick above an empty stub *)
+  pick_span : float array;
 }
 
-(* Layouts are immutable snapshots swapped atomically: a reader always
-   sees consistent (slews, names, cells) packing. Growth (a new slew
-   target or a foreign driver, both rare) copies the arrays but shares
-   the cell records, so values filled through any layout are visible
-   through every layout. *)
-type span_layout = {
-  sl_slews : float array;     (* slew-target rows, append-only *)
-  sl_names : string array;    (* driver-name slots, append-only *)
-  sl_cells : span_cell array; (* ((slew * names) + name) * classes + class *)
-}
-
-type span_arena = {
-  sa_dl : Delaylib.t;  (* identity key; never dereferenced for equality *)
-  sa_classes : int;
-  sa_layout : span_layout Atomic.t;
-}
-
-let span_mutex = Mutex.create ()
-let span_cond = Condition.create ()
-let span_arenas : span_arena list Atomic.t = Atomic.make []
-
-let rec find_arena dl = function
-  | [] -> raise Not_found
-  | (a : span_arena) :: tl -> if a.sa_dl == dl then a else find_arena dl tl
-
-(* The scans are top-level recursive functions, not local [let rec]s:
-   a local recursive closure capturing the array costs ~6 minor words
-   per call, which is most of what the arena saved on the hit path. *)
-let rec scan_name names n i name =
-  if i >= n then -1
-  else if String.equal (Array.unsafe_get names i) name then i
-  else scan_name names n (i + 1) name
-
-let idx_of_name names name = scan_name names (Array.length names) 0 name
-
-let rec scan_slew slews n i (s : float) =
-  if i >= n then -1
-  else if (Array.unsafe_get slews i = s) [@cts.float_eq_ok] then i
-  else scan_slew slews n (i + 1) s
-
-(* Exact bit equality is the memo-key identity, as it was for the
-   hashed tuple key before: epsilon-close but distinct slew targets are
-   distinct keys. *)
-let idx_of_slew slews s = scan_slew slews (Array.length slews) 0 s
-
-let[@cts.guarded "mutex:span_mutex"] arena_for dl =
-  match find_arena dl (Atomic.get span_arenas) with
-  | a -> a
-  | exception Not_found ->
-      Mutex.lock span_mutex;
-      let a =
-        match find_arena dl (Atomic.get span_arenas) with
-        | a -> a
-        | exception Not_found ->
-            let names =
-              Array.of_list
-                (List.map
-                   (fun (b : Buffer_lib.t) -> b.Buffer_lib.name)
-                   (Delaylib.buffers dl))
-            in
-            let a =
-              {
-                sa_dl = dl;
-                sa_classes = Delaylib.n_classes dl;
-                sa_layout =
-                  Atomic.make
-                    { sl_slews = [||]; sl_names = names; sl_cells = [||] };
-              }
-            in
-            Atomic.set span_arenas (a :: Atomic.get span_arenas);
-            a
-      in
-      Mutex.unlock span_mutex;
-      a
-
-(* Called under [span_mutex]. Extends the layout so (slew, name) exists;
-   existing cells keep their (slew, name, class) coordinates because
-   both axes grow append-only. *)
-let[@cts.guarded "mutex:span_mutex"] grow_layout arena ~slew ~name =
-  let lay = Atomic.get arena.sa_layout in
-  let slews =
-    if idx_of_slew lay.sl_slews slew < 0 then
-      Array.append lay.sl_slews [| slew |]
-    else lay.sl_slews
-  in
-  let names =
-    if idx_of_name lay.sl_names name < 0 then
-      Array.append lay.sl_names [| name |]
-    else lay.sl_names
-  in
-  if slews != lay.sl_slews || names != lay.sl_names then begin
-    let nn = Array.length names in
-    let old_nn = Array.length lay.sl_names in
-    let old_ns = Array.length lay.sl_slews in
-    let cells =
-      Array.init
-        (Array.length slews * nn * arena.sa_classes)
-        (fun idx ->
-          let c = idx mod arena.sa_classes in
-          let rest = idx / arena.sa_classes in
-          let ni = rest mod nn and si = rest / nn in
-          if si < old_ns && ni < old_nn then
-            lay.sl_cells.((((si * old_nn) + ni) * arena.sa_classes) + c)
-          else { sc_state = Atomic.make 0; sc_value = 0. })
-    in
-    Atomic.set arena.sa_layout { sl_slews = slews; sl_names = names; sl_cells = cells }
-  end
-
-let cell_index lay ~classes ~si ~ni ~cls =
-  (((si * Array.length lay.sl_names) + ni) * classes) + cls
-
-(* Settle one cell: wait out a concurrent computation, or claim the
-   empty->computing transition and fill the cell with the lock
-   released. *)
-let[@cts.guarded "mutex:span_mutex"] span_fill dl (cfg : Cts_config.t) ~drive
-    ~load_cap cell =
-  (* Claim or wait under the lock, compute with it released. Every
-     critical section is a [Mutex.protect] so a raise anywhere (the
-     delay model rejects infeasible coordinates) cannot leak the
-     lock. *)
-  let outcome =
-    Mutex.protect span_mutex (fun () ->
-        let rec wait () =
-          match Atomic.get cell.sc_state with
-          | 2 -> `Hit cell.sc_value
-          | 1 ->
-              Condition.wait span_cond span_mutex;
-              wait ()
-          | _ ->
-              Atomic.set cell.sc_state 1;
-              `Claimed
-        in
-        wait ())
-  in
-  match outcome with
-  | `Hit v ->
-      Obs.incr Obs.Span_cache_hits;
-      v
-  | `Claimed ->
-      Obs.incr Obs.Span_cache_misses;
-      let v =
-        try
-          Delaylib.max_length_for_slew dl ~drive ~load_cap
-            ~input_slew:cfg.slew_target ~slew_limit:cfg.slew_target
-        with e ->
-          (* Roll back so the key stays computable (and the next
-             attempt pays a fresh miss, as the old table did). *)
-          Mutex.protect span_mutex (fun () ->
-              Atomic.set cell.sc_state 0;
-              Condition.broadcast span_cond);
-          raise e
-      in
-      Mutex.protect span_mutex (fun () ->
-          cell.sc_value <- v;
-          Atomic.set cell.sc_state 2;
-          Condition.broadcast span_cond);
-      v
-
-let span_slow dl cfg ~drive ~load_cap ~cls arena =
-  (* The layout lacks this (slew, name) coordinate: grow it under the
-     lock, then settle the cell like any other. *)
-  Mutex.lock span_mutex;
-  grow_layout arena ~slew:cfg.Cts_config.slew_target
-    ~name:drive.Buffer_lib.name;
-  let lay = Atomic.get arena.sa_layout in
-  let si = idx_of_slew lay.sl_slews cfg.Cts_config.slew_target in
-  let ni = idx_of_name lay.sl_names drive.Buffer_lib.name in
-  let cell = lay.sl_cells.(cell_index lay ~classes:arena.sa_classes ~si ~ni ~cls) in
-  Mutex.unlock span_mutex;
-  span_fill dl cfg ~drive ~load_cap cell
-
-let span dl (cfg : Cts_config.t) ~drive ~load_cap =
-  let cls = Delaylib.class_index dl load_cap in
-  let arena = arena_for dl in
-  let lay = Atomic.get arena.sa_layout in
-  let si = idx_of_slew lay.sl_slews cfg.slew_target in
-  let ni =
-    if si < 0 then -1 else idx_of_name lay.sl_names drive.Buffer_lib.name
-  in
-  if ni >= 0 then begin
-    let cell = lay.sl_cells.(cell_index lay ~classes:arena.sa_classes ~si ~ni ~cls) in
-    if Atomic.get cell.sc_state = 2 then begin
-      Obs.incr Obs.Span_cache_hits;
-      cell.sc_value
-    end
-    else span_fill dl cfg ~drive ~load_cap cell
-  end
-  else span_slow dl cfg ~drive ~load_cap ~cls arena
-
-(* The arenas are process-global and outlive one synthesis; tests that
-   compare counter snapshots across runs reset them so both runs pay
-   the same misses. *)
-let[@cts.guarded "mutex:span_mutex"] reset_span_cache () =
-  Mutex.lock span_mutex;
-  Atomic.set span_arenas [];
-  Mutex.unlock span_mutex
-
-(* Arena-occupancy gauges, sampled at phase boundaries on the
-   coordinator (Cts.synthesize level loop). Scans the cell array, so it
-   stays out of the hot path by construction; the layout read is the
-   same lock-free atomic load the hit path uses, and a cell counts as
-   filled only in the ready state — cells mid-computation are still
-   misses-in-flight. *)
-let sample_span_gauges dl =
-  if Obs.enabled () then begin
-    match find_arena dl (Atomic.get span_arenas) with
-    | exception Not_found ->
-        Obs.gauge_set Obs.Span_arena_slots 0;
-        Obs.gauge_set Obs.Span_arena_filled 0
-    | arena ->
-        let lay = Atomic.get arena.sa_layout in
-        let filled = ref 0 in
-        Array.iter
-          (fun cell -> if Atomic.get cell.sc_state = 2 then incr filled)
-          lay.sl_cells;
-        Obs.gauge_set Obs.Span_arena_slots (Array.length lay.sl_cells);
-        Obs.gauge_set Obs.Span_arena_filled !filled
-  end
-
-let stage_delay dl (cfg : Cts_config.t) drive ~length ~load_cap =
-  Delaylib.stage_delay
-    (Delaylib.fit dl ~drive ~load_cap)
-    ~input_slew:cfg.slew_target ~length
-
-let stage_step dl (cfg : Cts_config.t) drive =
-  let gate = Buffer_lib.input_cap (Delaylib.tech dl) drive in
-  span dl cfg ~drive ~load_cap:gate
+(* Top-level rather than a local [let rec]: a local recursive closure
+   would allocate on every span lookup. *)
+let rec row_of (drivers : Buffer_lib.t array) name i =
+  if i >= Array.length drivers then
+    invalid_arg ("Run: drive buffer " ^ name ^ " is not characterized")
+  else if String.equal drivers.(i).Buffer_lib.name name then i
+  else row_of drivers name (i + 1)
 
 (* Intelligent sizing (Fig. 4.4) over net spans (each type's span minus
    the stub already hanging below): among the types whose span comes
@@ -282,16 +70,83 @@ let choose_index (types : Buffer_lib.t array) spans ~prefer_small_within =
   done;
   !pick
 
-let choose_buffer dl (cfg : Cts_config.t) ~stub_len ~load_cap =
-  let types = Array.of_list (Delaylib.buffers dl) in
-  let spans =
-    Array.map (fun b -> span dl cfg ~drive:b ~load_cap -. stub_len) types
+(* The sizing pick above a load of class [cls] under a [stub_len] stub,
+   and its net span. *)
+let choose_in ~types ~spans ~ncls ~prefer_small_within ~stub_len cls =
+  let net =
+    Array.init (Array.length types) (fun t ->
+        spans.((t * ncls) + cls) -. stub_len)
   in
-  match
-    choose_index types spans ~prefer_small_within:cfg.prefer_small_within
-  with
-  | -1 -> assert false
-  | i -> (types.(i), spans.(i))
+  let i = choose_index types net ~prefer_small_within in
+  (i, net.(i))
+
+let context dl (cfg : Cts_config.t) =
+  let tech = Delaylib.tech dl in
+  let types = Array.of_list (Delaylib.buffers dl) in
+  let nb = Array.length types in
+  if nb = 0 then invalid_arg "Run: the delay library has no buffer types";
+  let assumed_name = cfg.assumed_driver.Buffer_lib.name in
+  let is_assumed (b : Buffer_lib.t) = String.equal b.name assumed_name in
+  let drivers =
+    if Array.exists is_assumed types then types
+    else Array.append types [| cfg.assumed_driver |]
+  in
+  let ncls = Delaylib.n_classes dl in
+  let table f =
+    Array.init (Array.length drivers * ncls) (fun k ->
+        f drivers.(k / ncls) (Delaylib.class_cap dl (k mod ncls)))
+  in
+  let spans =
+    table (fun drive load_cap ->
+        Delaylib.max_length_for_slew dl ~drive ~load_cap
+          ~input_slew:cfg.slew_target ~slew_limit:cfg.slew_target)
+  in
+  let assumed = row_of drivers assumed_name 0 in
+  let picks =
+    Array.init ncls
+      (choose_in ~types ~spans ~ncls
+         ~prefer_small_within:cfg.prefer_small_within ~stub_len:0.)
+  in
+  let caps = Array.map (Buffer_lib.input_cap tech) types in
+  {
+    dl;
+    cfg;
+    types;
+    nb;
+    caps;
+    areas = Array.map Buffer_lib.area_x types;
+    ncls;
+    cls_of_type = Array.map (Delaylib.class_index dl) caps;
+    drivers;
+    assumed;
+    spans;
+    fits = table (fun drive load_cap -> Delaylib.fit dl ~drive ~load_cap);
+    reach =
+      Array.init ncls (fun k -> cfg.top_margin *. spans.((assumed * ncls) + k));
+    pick = Array.map fst picks;
+    pick_span = Array.map snd picks;
+  }
+
+let library c = c.dl
+let config c = c.cfg
+
+(* Table index of ([drive], class of [load_cap]). *)
+let cell c (drive : Buffer_lib.t) load_cap =
+  (row_of c.drivers drive.name 0 * c.ncls) + Delaylib.class_index c.dl load_cap
+
+let span c ~drive ~load_cap = c.spans.(cell c drive load_cap)
+
+let stage_delay c drive ~length ~load_cap =
+  Delaylib.stage_delay c.fits.(cell c drive load_cap)
+    ~input_slew:c.cfg.slew_target ~length
+
+let choose c ~stub_len cls =
+  choose_in ~types:c.types ~spans:c.spans ~ncls:c.ncls
+    ~prefer_small_within:c.cfg.prefer_small_within ~stub_len cls
+
+let choose_buffer c ~stub_len ~load_cap =
+  let i, s = choose c ~stub_len (Delaylib.class_index c.dl load_cap) in
+  (c.types.(i), s)
 
 let[@inline] cost_better (c1 : float) (a1 : float) c2 a2 =
   match Float.compare c1 c2 with
@@ -299,98 +154,24 @@ let[@inline] cost_better (c1 : float) (a1 : float) c2 a2 =
   | c -> c < 0
 
 (* --------------------------------------------------------------- *)
-(* Per-port preparation.
+(* Per-port preparation: what a run from one port reads beyond the
+   context — the port stub's load class and the sizing pick above the
+   stub. A maze side probes ~2000 lengths from one port. *)
 
-   Everything a run evaluation reads that depends only on (library,
-   config, port) — the buffer types and their caps, areas and load
-   classes, every span both engines consult, the sizing pick for the
-   port stub and for each type's input cap, and the delay-library fit
-   handle of every (drive, load class) pair a stage or top wire can
-   use — is resolved once per port, not once per probe. A maze side
-   probes ~2000 lengths from one port. *)
-
-type ctx = {
-  dl : Delaylib.t;
-  cfg : Cts_config.t;
+type side = {
+  c : ctx;
   port : Port.t;
-  types : Buffer_lib.t array;
-  nb : int;
-  caps : float array;
-  areas : float array;
-  ncls : int;
-  cls_port : int;  (* load class of the port stub *)
-  cls_of_type : int array;  (* load class of each type's input cap *)
-  span_port : float array;  (* t: span of type t into the port stub *)
-  span_tt : float array;  (* t * nb + t': span of type t into cap t' *)
-  reach_port : float;  (* top_margin * assumed-driver span, port stub *)
-  reach_cap : float array;  (* the same into each type's input cap *)
-  pick_port : int;  (* sizing pick above the port stub *)
+  cls_port : int;
+  pick_port : int;
   pick_port_span : float;
-  pick_cap : int array;  (* sizing pick above each type (no stub) *)
-  pick_cap_span : float array;
-  stage_port : Delaylib.fit array;  (* t driving the port stub *)
-  stage_cap : Delaylib.fit array;  (* t * nb + t': t driving cap t' *)
-  top_port : Delaylib.fit;  (* assumed driver over the port stub *)
-  top_cap : Delaylib.fit array;  (* assumed driver over each type's cap *)
 }
 
-let context dl (cfg : Cts_config.t) (port : Port.t) =
-  let tech = Delaylib.tech dl in
-  let types = Array.of_list (Delaylib.buffers dl) in
-  let nb = Array.length types in
-  if nb = 0 then invalid_arg "Run: the delay library has no buffer types";
-  let caps = Array.map (Buffer_lib.input_cap tech) types in
-  let load_of k = if k < 0 then port.Port.stub_load else caps.(k) in
-  let span_port =
-    Array.map
-      (fun b -> span dl cfg ~drive:b ~load_cap:port.Port.stub_load)
-      types
+let side c (port : Port.t) =
+  let cls_port = Delaylib.class_index c.dl port.Port.stub_load in
+  let pick_port, pick_port_span =
+    choose c ~stub_len:port.Port.stub_len cls_port
   in
-  let span_tt =
-    Array.init (nb * nb) (fun k ->
-        span dl cfg ~drive:types.(k / nb) ~load_cap:caps.(k mod nb))
-  in
-  let reach k =
-    cfg.top_margin
-    *. span dl cfg ~drive:cfg.assumed_driver ~load_cap:(load_of k)
-  in
-  let pick spans ~stub_len =
-    let net = Array.map (fun s -> s -. stub_len) spans in
-    let i =
-      choose_index types net ~prefer_small_within:cfg.prefer_small_within
-    in
-    (i, net.(i))
-  in
-  let pick_port, pick_port_span = pick span_port ~stub_len:port.Port.stub_len in
-  let picks =
-    Array.init nb (fun t' ->
-        pick (Array.init nb (fun t -> span_tt.((t * nb) + t'))) ~stub_len:0.)
-  in
-  let fit drive k = Delaylib.fit dl ~drive ~load_cap:(load_of k) in
-  {
-    dl;
-    cfg;
-    port;
-    types;
-    nb;
-    caps;
-    areas = Array.map Buffer_lib.area_x types;
-    ncls = Delaylib.n_classes dl;
-    cls_port = Delaylib.class_index dl port.Port.stub_load;
-    cls_of_type = Array.map (Delaylib.class_index dl) caps;
-    span_port;
-    span_tt;
-    reach_port = reach (-1);
-    reach_cap = Array.init nb reach;
-    pick_port;
-    pick_port_span;
-    pick_cap = Array.map fst picks;
-    pick_cap_span = Array.map snd picks;
-    stage_port = Array.map (fun b -> fit b (-1)) types;
-    stage_cap = Array.init (nb * nb) (fun k -> fit types.(k / nb) (k mod nb));
-    top_port = fit cfg.assumed_driver (-1);
-    top_cap = Array.init nb (fit cfg.assumed_driver);
-  }
+  { c; port; cls_port; pick_port; pick_port_span }
 
 let base_eval (port : Port.t) length ~feasible =
   {
@@ -408,30 +189,30 @@ let base_eval (port : Port.t) length ~feasible =
 (* A non-finite length never satisfies the top test — the walk would
    grow its chain until memory runs out — so it is reported as the
    infeasible buffer-free run instead. *)
-let greedy place c length =
+let greedy place s length =
   Obs.incr Obs.Run_evals;
-  if not (Float.is_finite length) then base_eval c.port length ~feasible:false
+  if not (Float.is_finite length) then base_eval s.port length ~feasible:false
   else begin
-    let port = c.port and nb = c.nb in
+    let c = s.c and port = s.port in
     let delay = ref port.Port.delay in
     let buffers = ref [] in
     let pos = ref 0. in
     let stub_len = ref port.Port.stub_len in
-    (* Type whose input cap loads the stub; -1 for the port stub. *)
-    let load = ref (-1) in
+    (* Type whose input cap loads the stub (-1 for the port stub), and
+       that load's class. *)
+    let load = ref (-1) and cls = ref s.cls_port in
     let feasible = ref true in
     let top_reached = ref false in
     while not !top_reached do
       let remaining = length -. !pos in
-      let reach = if !load < 0 then c.reach_port else c.reach_cap.(!load) in
-      if !stub_len +. remaining <= reach then
+      if !stub_len +. remaining <= c.reach.(!cls) then
         (* The rest of the run can stay unbuffered under the assumed
            upstream driver. *)
         top_reached := true
       else begin
-        let t = if !load < 0 then c.pick_port else c.pick_cap.(!load) in
+        let t = if !load < 0 then s.pick_port else c.pick.(!cls) in
         let buf_span =
-          if !load < 0 then c.pick_port_span else c.pick_cap_span.(!load)
+          if !load < 0 then s.pick_port_span else c.pick_span.(!cls)
         in
         let ideal = Float.max 0. (Float.min buf_span remaining) in
         if buf_span <= 0. then feasible := false;
@@ -467,26 +248,24 @@ let greedy place c length =
           if wire_above > (1.15 *. buf_span) +. 1. then feasible := false;
           (* Stage: type t drives (wire_above + stub) into the stub
              load. *)
-          let h =
-            if !load < 0 then c.stage_port.(t)
-            else c.stage_cap.((t * nb) + !load)
-          in
           delay :=
             !delay
-            +. Delaylib.stage_delay h ~input_slew:c.cfg.Cts_config.slew_target
+            +. Delaylib.stage_delay
+                 c.fits.((t * c.ncls) + !cls)
+                 ~input_slew:c.cfg.Cts_config.slew_target
                  ~length:(wire_above +. !stub_len);
           pos := !pos +. wire_above;
           buffers := { buf = c.types.(t); dist = !pos } :: !buffers;
           Obs.incr Obs.Run_buffers_placed;
           stub_len := 0.;
-          load := t
+          load := t;
+          cls := c.cls_of_type.(t)
         end
       end
     done;
     let top_free = length -. !pos in
     let top_stub_len = !stub_len +. top_free in
-    let reach = if !load < 0 then c.reach_port else c.reach_cap.(!load) in
-    if top_stub_len > reach then feasible := false;
+    if top_stub_len > c.reach.(!cls) then feasible := false;
     {
       delay_below = !delay;
       buffers = List.rev !buffers;
@@ -516,8 +295,9 @@ let rec dp_chain c p (from : int array) k acc =
    its stamp equals the current probe's, so starting a probe is one
    increment, with no clearing and no per-probe table. The arrays are
    captured by the returned closure alone, so they are private to it. *)
-let dp_kernel ?positions ?place c =
-  let cfg = c.cfg and port = c.port and nb = c.nb and ncls = c.ncls in
+let dp_kernel ?positions ?place s =
+  let c = s.c and port = s.port and cls_port = s.cls_port in
+  let cfg = c.cfg and nb = c.nb and ncls = c.ncls in
   (* The caller's positions, sorted once; else the uniform grid. *)
   let listed =
     Option.map (fun ps -> Array.of_list (List.sort Float.compare ps)) positions
@@ -725,10 +505,10 @@ let dp_kernel ?positions ?place c =
         for t = 0 to nb - 1 do
           let k = (i * nb) + t in
           (* From the port itself: the stage swallows the port stub. *)
-          if port_len.(i) <= c.span_port.(t) then begin
+          if port_len.(i) <= c.spans.((t * ncls) + cls_port) then begin
             let slot =
-              stage_slot c.stage_port.(t) port_len i ~id:port_id.(i) ~t
-                ~cls:c.cls_port
+              stage_slot c.fits.((t * ncls) + cls_port) port_len i
+                ~id:port_id.(i) ~t ~cls:cls_port
             in
             let cost = port.Port.delay +. sd_val.(slot) +. (w *. c.areas.(t)) in
             if
@@ -747,10 +527,11 @@ let dp_kernel ?positions ?place c =
             let idx = (i * m) + j in
             for e = 0 to front_len.(j) - 1 do
               let t' = front.((j * nb) + e) in
-              if pair_len.(idx) <= c.span_tt.((t * nb) + t') then begin
+              let cls = c.cls_of_type.(t') in
+              if pair_len.(idx) <= c.spans.((t * ncls) + cls) then begin
                 let slot =
-                  stage_slot c.stage_cap.((t * nb) + t') pair_len idx
-                    ~id:pair_id.(idx) ~t ~cls:c.cls_of_type.(t')
+                  stage_slot c.fits.((t * ncls) + cls) pair_len idx
+                    ~id:pair_id.(idx) ~t ~cls
                 in
                 let s = (j * nb) + t' in
                 let cost = st_cost.(s) +. sd_val.(slot) +. (w *. c.areas.(t)) in
@@ -776,8 +557,9 @@ let dp_kernel ?positions ?place c =
          greedy engine's convention and feasibility check. Feasible
          beats infeasible, then lower (cost, area); the base is the
          incumbent. *)
-      let slot = top_slot 0 ~cls:c.cls_port c.top_port in
-      let best_ok = ref (top_len.(0) <= c.reach_port) in
+      let top_row = c.assumed * ncls in
+      let slot = top_slot 0 ~cls:cls_port c.fits.(top_row + cls_port) in
+      let best_ok = ref (top_len.(0) <= c.reach.(cls_port)) in
       let best_cost = ref (port.Port.delay +. top_val.(slot)) in
       let best_area = ref 0. in
       let best = ref (-1) in
@@ -785,8 +567,9 @@ let dp_kernel ?positions ?place c =
         for t = 0 to nb - 1 do
           let k = (i * nb) + t in
           if st_stamp.(k) = !stamp then begin
-            let ok = top_len.(i + 1) <= c.reach_cap.(t) in
-            let slot = top_slot (i + 1) ~cls:c.cls_of_type.(t) c.top_cap.(t) in
+            let cls = c.cls_of_type.(t) in
+            let ok = top_len.(i + 1) <= c.reach.(cls) in
+            let slot = top_slot (i + 1) ~cls c.fits.(top_row + cls) in
             let cost = st_cost.(k) +. top_val.(slot) in
             if
               (ok && not !best_ok)
@@ -833,41 +616,42 @@ let area_of_eval (e : eval) =
     (fun a (p : placed) -> a +. Buffer_lib.area_x p.buf)
     0. e.buffers
 
-(* Assumed-driver handle over an eval's top load: the port stub when
-   no buffer was planted, else the topmost type's input cap (matched by
-   value; equal caps share a class, hence a handle). *)
-let top_fit c (e : eval) =
-  if e.buffers = [] then c.top_port
-  else begin
-    let k = ref (-1) in
-    for t = c.nb - 1 downto 0 do
-      if (c.caps.(t) = e.top_load) [@cts.float_eq_ok] then k := t
-    done;
-    if !k >= 0 then c.top_cap.(!k)
-    else Delaylib.fit c.dl ~drive:c.cfg.assumed_driver ~load_cap:e.top_load
-  end
+(* Load class of an eval's top load: the topmost type's input cap
+   (matched by value; equal caps share a class), else the port stub's
+   class — known to a prepared side, searched for otherwise. *)
+let top_class c ~port_cls (e : eval) =
+  let k = ref (-1) in
+  for t = c.nb - 1 downto 0 do
+    if (c.caps.(t) = e.top_load) [@cts.float_eq_ok] then k := t
+  done;
+  if !k >= 0 then c.cls_of_type.(!k)
+  else if port_cls >= 0 then port_cls
+  else Delaylib.class_index c.dl e.top_load
 
-let cost_with ~top_wire (cfg : Cts_config.t) (e : eval) =
+let top_wire_delay c ~port_cls (e : eval) ~length =
+  Delaylib.wire_delay
+    c.fits.((c.assumed * c.ncls) + top_class c ~port_cls e)
+    ~input_slew:c.cfg.slew_target ~length
+
+let cost_with c ~port_cls (e : eval) =
   let area = area_of_eval e in
-  (e.delay_below +. top_wire +. (cfg.dp_area_weight *. area), area)
+  ( e.delay_below
+    +. top_wire_delay c ~port_cls e ~length:e.top_stub_len
+    +. (c.cfg.dp_area_weight *. area),
+    area )
 
-let run_cost dl (cfg : Cts_config.t) (e : eval) =
-  let h = Delaylib.fit dl ~drive:cfg.assumed_driver ~load_cap:e.top_load in
-  cost_with cfg e
-    ~top_wire:
-      (Delaylib.wire_delay h ~input_slew:cfg.slew_target ~length:e.top_stub_len)
+let run_cost c e = cost_with c ~port_cls:(-1) e
 
-let prepared_cost c e =
-  cost_with c.cfg e
-    ~top_wire:
-      (Delaylib.wire_delay (top_fit c e) ~input_slew:c.cfg.slew_target
-         ~length:e.top_stub_len)
+let top_delay c (e : eval) top_wire =
+  e.delay_below
+  +. top_wire_delay c ~port_cls:(-1) e
+       ~length:(top_wire +. (e.top_stub_len -. e.top_free))
 
 (* --------------------------------------------------------------- *)
 (* Entry points: one prepared path.                                  *)
 
-let prepare_dp ?positions ?place dl cfg port =
-  dp_kernel ?positions ?place (context dl cfg port)
+let prepare_dp ?positions ?place c port =
+  dp_kernel ?positions ?place (side c port)
 
 (* Under [Optimal_dp] the greedy solution is kept as an incumbent — the
    DP returns whichever of the two costs less under [run_cost], so the
@@ -875,21 +659,21 @@ let prepare_dp ?positions ?place dl cfg port =
    property test/t_insertion.ml locks), and blockage-heavy runs where
    the discretized DP goes infeasible degrade to the proven greedy
    behavior. *)
-let prepare ?place dl (cfg : Cts_config.t) port =
-  let c = context dl cfg port in
-  match cfg.insertion with
-  | Cts_config.Greedy -> fun length -> greedy place c length
+let prepare ?place c port =
+  let s = side c port in
+  match c.cfg.insertion with
+  | Cts_config.Greedy -> fun length -> greedy place s length
   | Cts_config.Optimal_dp ->
-      let dp = dp_kernel ?place c in
+      let dp = dp_kernel ?place s in
       fun length ->
-        let g = greedy place c length in
+        let g = greedy place s length in
         let d = dp length in
         let pick_greedy =
           if g.feasible && not d.feasible then true
           else if d.feasible && not g.feasible then false
           else begin
-            let gc, ga = prepared_cost c g in
-            let dc, da = prepared_cost c d in
+            let gc, ga = cost_with c ~port_cls:s.cls_port g in
+            let dc, da = cost_with c ~port_cls:s.cls_port d in
             cost_better gc ga dc da
           end
         in
@@ -899,17 +683,10 @@ let prepare ?place dl (cfg : Cts_config.t) port =
         end
         else d
 
-let eval ?place dl cfg port length = prepare ?place dl cfg port length
+let eval ?place dl cfg port length = prepare ?place (context dl cfg) port length
 
 let eval_greedy ?place dl cfg port length =
-  greedy place (context dl cfg port) length
+  greedy place (side (context dl cfg) port) length
 
 let eval_dp ?positions ?place dl cfg port length =
-  prepare_dp ?positions ?place dl cfg port length
-
-let prepare_top dl (cfg : Cts_config.t) port =
-  let c = context dl cfg port in
-  fun (e : eval) top_wire ->
-    let length = top_wire +. (e.top_stub_len -. e.top_free) in
-    e.delay_below
-    +. Delaylib.wire_delay (top_fit c e) ~input_slew:cfg.slew_target ~length
+  prepare_dp ?positions ?place (context dl cfg) port length

@@ -22,21 +22,28 @@
 
     {!eval} dispatches on {!Cts_config.t} [insertion].
 
-    {b Per-port preparation.} Everything an evaluation reads that
-    depends only on (library, config, port) — buffer caps, areas and
-    load classes, every span either engine consults, the sizing pick
-    above the port stub and above each type's input cap, and the
-    {!Delaylib.fit} handle of every (drive, load class) pair a stage or
-    top wire can use — is resolved once by {!prepare}; each probe of the
-    returned evaluator then reads only that context, and a DP probe runs
+    {b The run context.} Everything an evaluation reads that depends
+    only on (library, config) — buffer caps, areas and load classes,
+    the span of every driver into every load class, the sizing pick
+    above each class, and the {!Delaylib.fit} handle of every (driver,
+    load class) pair — is computed once, eagerly, by {!context}: one
+    immutable value per synthesis, read unsynchronized from every
+    domain. {!prepare} adds what depends on the port (the stub's class
+    and the sizing pick above it, plus the DP scratch); each probe of
+    the returned evaluator then reads only those, and a DP probe runs
     over reusable, stamp-invalidated scratch and allocates only its
-    result. {!eval} is [prepare] applied once, so
+    result. {!eval} is [prepare] applied once on a fresh context, so
     there is a single code path and a prepared probe returns exactly
     (bit for bit) what a fresh {!eval} returns.
 
     {b Non-finite lengths.} A NaN or infinite [length] yields the
     buffer-free run with [feasible = false] from both engines (the
-    greedy walk would otherwise never reach the top). *)
+    greedy walk would otherwise never reach the top).
+
+    Domain-safety: a {!ctx} is never written after {!context} returns,
+    so every domain of the synthesis pool reads it unsynchronized; a
+    prepared evaluator owns mutable probe scratch and is used from one
+    domain at a time. *)
 
 type placed = { buf : Circuit.Buffer_lib.t; dist : float }
 (** A buffer planted [dist] um above the port along the run. *)
@@ -58,76 +65,55 @@ type eval = {
           slew target. *)
 }
 
-val span :
-  Delaylib.t -> Cts_config.t -> drive:Circuit.Buffer_lib.t ->
-  load_cap:float -> (float[@cts.unit "um"])
+type ctx
+(** The per-synthesis run context (see the module doc). *)
+
+val context : Delaylib.t -> Cts_config.t -> ctx
   [@@cts.raises "Invalid_argument"]
-(** Memoized longest wire [drive] can put in front of a load of the given
-    class while meeting the slew target under the target input-slew
-    assumption.
+(** [context dl cfg] computes the span table — (every library type,
+    then [cfg.assumed_driver] when it is not one) × load classes — the
+    fit handles and the sizing picks. Sequential; a few hundred delay
+    evaluations ({!Obs.Delay_evals_single}), one set per context.
+    Raises [Invalid_argument] for a library with no buffer types or an
+    assumed driver it was not characterized for. *)
 
-    The memo is a per-library arena of state-machine cells in one flat
-    array indexed (slew target, driver name, load class) — a hit is a
-    lock-free atomic read with no key allocation or hashing.
+val library : ctx -> Delaylib.t
+val config : ctx -> Cts_config.t
 
-    Domain-safety: the arena may be hit from every domain of the
-    synthesis pool concurrently. Misses are computed {e outside} the
-    global critical section; the per-cell empty/computing/ready state
-    machine (transitions under the mutex, waiters on a condition
-    variable) still guarantees each key is evaluated exactly once
-    process-wide. Cached values are a pure function of the key, so which
-    domain fills an entry never changes any result — the parallel flow
-    stays bit-identical to the sequential one, and even the [Obs]
-    delay-library evaluation counts are schedule-independent (the one
-    computing caller counts the miss; waiters count hits). *)
-
-val reset_span_cache : unit -> unit
-(** Empty the (process-global) span memo. For tests that compare [Obs]
-    counter snapshots across runs: both runs then pay the same cache
-    misses. Never needed for correctness — cached values are a pure
-    function of the key. *)
-
-val sample_span_gauges : Delaylib.t -> unit
-(** Write the {!Obs.Span_arena_slots} / {!Obs.Span_arena_filled} gauges
-    from [dl]'s span-arena occupancy (0/0 when no arena exists yet).
-    Sampled, so call it at phase boundaries on the coordinator — the
-    synthesis level loop does. No-op when observability is disabled.
-
-    Domain-safety: reads the arena through the same lock-free atomic
-    loads as the hit path; never blocks pool workers. *)
+val span :
+  ctx -> drive:Circuit.Buffer_lib.t -> load_cap:float -> (float[@cts.unit "um"])
+  [@@cts.raises "Invalid_argument"]
+(** Longest wire [drive] can put in front of a load of the given class
+    while meeting the slew target under the target input-slew
+    assumption: a table lookup, equal (bit for bit) to
+    {!Delaylib.max_length_for_slew} at the context's slew target.
+    Raises [Invalid_argument] for a driver outside the table (matched
+    by name). *)
 
 val prepare :
   ?place:(cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
           (float[@cts.unit "um"]) option) ->
-  Delaylib.t -> Cts_config.t -> Port.t -> (float[@cts.unit "um"]) -> eval
-  [@@cts.raises "Invalid_argument"]
-(** [prepare dl cfg port] resolves the per-port context (see the module
-    doc) and returns an evaluator equal to [eval dl cfg port] at every
-    length — the maze builds one per expansion side
-    ({!Maze.eval_memo}). The evaluator owns mutable probe scratch: use
-    it from one domain at a time. Raises [Invalid_argument] (at
-    preparation) for a library with no buffer types or a driver it was
-    not characterized for. *)
+  ctx -> Port.t -> (float[@cts.unit "um"]) -> eval
+(** [prepare ctx port] resolves the port (see the module doc) and
+    returns an evaluator equal to [eval dl cfg port] at every length —
+    the maze builds one per expansion side ({!Maze.eval_memo}). The
+    evaluator owns mutable probe scratch: use it from one domain at a
+    time. *)
 
 val prepare_dp :
   ?positions:(float[@cts.unit "um"]) list ->
   ?place:(cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
           (float[@cts.unit "um"]) option) ->
-  Delaylib.t -> Cts_config.t -> Port.t -> (float[@cts.unit "um"]) -> eval
-  [@@cts.raises "Invalid_argument"]
+  ctx -> Port.t -> (float[@cts.unit "um"]) -> eval
 (** {!prepare} for the DP engine alone: equal to [eval_dp ?positions
     ?place dl cfg port] at every length. A steady-state probe allocates
     only its result (the [eval] record and its buffer list). *)
 
-val prepare_top :
-  Delaylib.t -> Cts_config.t -> Port.t -> eval -> (float[@cts.unit "um"]) ->
-  (float[@cts.unit "ps"])
-  [@@cts.raises "Invalid_argument"]
-(** [prepare_top dl cfg port] resolves the per-port context once —
-    among it the assumed-driver handles over the loads a run from
-    [port] can end on (the port stub, each type's input cap); the
-    returned function equals {!Maze.side_delay} for evals of runs from
-    [port]. *)
+val top_delay :
+  ctx -> eval -> (float[@cts.unit "um"]) -> (float[@cts.unit "ps"])
+(** [top_delay ctx e top_wire] — delay of one side through its top
+    wire of the given length, under the assumed-driver model (driver
+    intrinsic delay excluded; it is common to both sides of a merge). *)
 
 val eval :
   ?place:(cur:(float[@cts.unit "um"]) -> (float[@cts.unit "um"]) ->
@@ -192,8 +178,7 @@ val eval_dp :
     {!Delaylib.wire_delay_table}. *)
 
 val run_cost :
-  Delaylib.t -> Cts_config.t -> eval ->
-  (float[@cts.unit "ps"]) * (float[@cts.unit "dimensionless"])
+  ctx -> eval -> (float[@cts.unit "ps"]) * (float[@cts.unit "dimensionless"])
 (** [(cost, area)] of an [eval] under the DP objective: [delay_below]
     plus the assumed-driver wire delay over the top stub plus
     [cfg.dp_area_weight] per unit of inserted buffer area ({!
@@ -202,19 +187,15 @@ val run_cost :
     lexicographically is better. *)
 
 val choose_buffer :
-  Delaylib.t -> Cts_config.t -> stub_len:float -> load_cap:float ->
+  ctx -> stub_len:float -> load_cap:float ->
   Circuit.Buffer_lib.t * (float[@cts.unit "um"])
 (** Intelligent sizing: the buffer type whose feasible span (after the
     existing unbuffered [stub_len]) best exploits the slew budget, and
     that span (um; can be non-positive when the stub alone violates). *)
 
-val stage_step :
-  Delaylib.t -> Cts_config.t -> Circuit.Buffer_lib.t -> (float[@cts.unit "um"])
-(** Stage pitch estimate: the span of a buffer driving a gate-class load,
-    used by the balance stage to bound what routing can absorb. *)
-
 val stage_delay :
-  Delaylib.t -> Cts_config.t -> Circuit.Buffer_lib.t -> length:float ->
-  load_cap:float -> float
+  ctx -> Circuit.Buffer_lib.t -> length:float -> load_cap:float -> float
+  [@@cts.raises "Invalid_argument"]
 (** Buffer intrinsic delay plus wire delay of one stage at the target
-    input slew. *)
+    input slew. Raises [Invalid_argument] for a driver outside the
+    table. *)

@@ -488,6 +488,7 @@ let max_length_for_slew t ~drive ~load_cap ~input_slew ~slew_limit =
       t.len_hi
 
 let load_class_cap t cap = t.classes.(class_index t cap)
+let class_cap t i = t.classes.(i)
 let n_classes t = Array.length t.classes
 let buffers t = t.buffers
 let tech t = t.tech

@@ -82,8 +82,8 @@ val eval_single :
     of time: the table lookup and the load-class search happen once, in
     {!fit}, and every evaluation after that is a flat polynomial walk
     over the two delay surfaces alone (no slew surface). Callers that evaluate the
-    same (drive, class) pair many times — the run evaluator resolves its
-    handles once per port ({!Run.prepare}) — hold handles instead of
+    same (drive, class) pair many times — the run context resolves its
+    handles once per synthesis ({!Run.context}) — hold handles instead of
     calling {!eval_single}.
 
     Every evaluator returns exactly (bit for bit) the corresponding
@@ -161,7 +161,11 @@ val class_index : t -> (float[@cts.unit "ff"]) -> int
 (** Index of that load class: [0 .. n_classes - 1]. Same equivalence
     classes as {!load_class_cap} ([load_class_cap t c] is the
     capacitance of class [class_index t c]); the integer form is the
-    key the arena memo tables index flat arrays with. *)
+    key the run context's tables index flat arrays with. *)
+
+val class_cap : t -> int -> (float[@cts.unit "ff"])
+(** Representative capacitance of class [i] ([0 .. n_classes - 1]):
+    [class_index t (class_cap t i) = i]. *)
 
 val n_classes : t -> int
 (** Number of load classes the library quantizes into. *)

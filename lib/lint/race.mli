@@ -33,7 +33,7 @@
       access on the path, or a ["replay-log"] claim writing
       module-level state are each reported, as is an unguarded,
       unprotected write. A claim naming its lock
-      (["mutex:span_mutex"]) must name an existing module-level mutex
+      (["mutex:spans_mutex"]) must name an existing module-level mutex
       {e and} that mutex must be among the locks held at every write
       it covers. A claim on a definition that performs no mutation at
       all is {e stale} and flagged for removal.

@@ -328,7 +328,7 @@ let scheme_of_val g fc name ty =
     | Ptyp_arrow (lbl, a, b) ->
         let l = label_name lbl in
         (* Positional parameters do not inherit the val name — it
-           names the result ([side_delay]'s float argument is a
+           names the result ([Run.top_delay]'s float argument is a
            length). *)
         flatten ((l, unit_of_core g fc ~name:l a) :: acc) b
     | Ptyp_alias (ty', _) | Ptyp_poly (_, ty') -> flatten acc ty'

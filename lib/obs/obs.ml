@@ -29,8 +29,6 @@ type counter =
   | Dp_candidates
   | Dp_pruned
   | Dp_fallbacks
-  | Span_cache_hits
-  | Span_cache_misses
   | Delay_evals_single
   | Delay_evals_branch
   | Char_sims
@@ -58,28 +56,25 @@ let counter_index = function
   | Dp_candidates -> 12
   | Dp_pruned -> 13
   | Dp_fallbacks -> 14
-  | Span_cache_hits -> 15
-  | Span_cache_misses -> 16
-  | Delay_evals_single -> 17
-  | Delay_evals_branch -> 18
-  | Char_sims -> 19
-  | Timing_stages -> 20
-  | Timing_analyses -> 21
-  | Topology_edge_costs -> 22
-  | Topology_pairings -> 23
-  | Pool_spawn_shortfall -> 24
+  | Delay_evals_single -> 15
+  | Delay_evals_branch -> 16
+  | Char_sims -> 17
+  | Timing_stages -> 18
+  | Timing_analyses -> 19
+  | Topology_edge_costs -> 20
+  | Topology_pairings -> 21
+  | Pool_spawn_shortfall -> 22
 
-let n_counters = 25
+let n_counters = 23
 
 let all_counters =
   [
     Maze_selects; Maze_bins_evaluated; Eval_cache_hits; Eval_cache_misses;
     Snake_stages; Bisection_iters; Merges_routed; Placer_adjusted;
     Placer_infeasible; Run_evals; Run_buffers_placed; Dp_evals; Dp_candidates;
-    Dp_pruned; Dp_fallbacks; Span_cache_hits; Span_cache_misses;
-    Delay_evals_single; Delay_evals_branch; Char_sims; Timing_stages;
-    Timing_analyses; Topology_edge_costs; Topology_pairings;
-    Pool_spawn_shortfall;
+    Dp_pruned; Dp_fallbacks; Delay_evals_single; Delay_evals_branch;
+    Char_sims; Timing_stages; Timing_analyses; Topology_edge_costs;
+    Topology_pairings; Pool_spawn_shortfall;
   ]
 
 let counter_name = function
@@ -98,8 +93,6 @@ let counter_name = function
   | Dp_candidates -> "dp.candidates"
   | Dp_pruned -> "dp.pruned"
   | Dp_fallbacks -> "dp.fallbacks"
-  | Span_cache_hits -> "run.span_cache_hits"
-  | Span_cache_misses -> "run.span_cache_misses"
   | Delay_evals_single -> "delaylib.evals_single"
   | Delay_evals_branch -> "delaylib.evals_branch"
   | Char_sims -> "delaylib.char_sims"
@@ -125,44 +118,23 @@ let histogram_name = function
 (* ------------------------------------------------------------------ *)
 (* Gauges                                                              *)
 
-(* Cache-effectiveness gauges. Two recording disciplines share the
-   type: [`Sampled] gauges are point-in-time sizes written by
-   [gauge_set] at phase boundaries on the coordinator; [`Additive]
-   gauges accumulate like counters through [gauge_add] and are absorbed
-   from task deltas in task-index order, so their totals are as
-   schedule-independent as the counters'. *)
-type gauge =
-  | Span_arena_slots
-  | Span_arena_filled
-  | Maze_memo_slots
-  | Dp_memo_slots
-  | Dp_memo_filled
+(* Cache-effectiveness gauges. They accumulate like counters through
+   [gauge_add] and are absorbed from task deltas in task-index order,
+   so their totals are as schedule-independent as the counters'. *)
+type gauge = Maze_memo_slots | Dp_memo_slots | Dp_memo_filled
 
 let gauge_index = function
-  | Span_arena_slots -> 0
-  | Span_arena_filled -> 1
-  | Maze_memo_slots -> 2
-  | Dp_memo_slots -> 3
-  | Dp_memo_filled -> 4
+  | Maze_memo_slots -> 0
+  | Dp_memo_slots -> 1
+  | Dp_memo_filled -> 2
 
-let n_gauges = 5
-
-let all_gauges =
-  [
-    Span_arena_slots; Span_arena_filled; Maze_memo_slots; Dp_memo_slots;
-    Dp_memo_filled;
-  ]
+let n_gauges = 3
+let all_gauges = [ Maze_memo_slots; Dp_memo_slots; Dp_memo_filled ]
 
 let gauge_name = function
-  | Span_arena_slots -> "run.span_arena.slots"
-  | Span_arena_filled -> "run.span_arena.filled"
   | Maze_memo_slots -> "maze.memo_slots"
   | Dp_memo_slots -> "dp.memo_slots"
   | Dp_memo_filled -> "dp.memo_filled"
-
-let gauge_kind = function
-  | Span_arena_slots | Span_arena_filled -> `Sampled
-  | Maze_memo_slots | Dp_memo_slots | Dp_memo_filled -> `Additive
 
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)
@@ -217,9 +189,6 @@ let[@cts.guarded "domain-local"] hist_add h ~bucket n =
   end
 
 let read c = if !enabled_flag then (current ()).counts.(counter_index c) else 0
-
-let[@cts.guarded "domain-local"] gauge_set g v =
-  if !enabled_flag then (current ()).gauges.(gauge_index g) <- v
 
 let[@cts.guarded "domain-local"] gauge_add g n =
   if !enabled_flag && n <> 0 then begin
@@ -427,17 +396,9 @@ let[@cts.guarded "domain-local"] task_absorb = function
       for i = 0 to n_counters - 1 do
         a.counts.(i) <- a.counts.(i) + d.counts.(i)
       done;
-      List.iter
-        (fun g ->
-          let i = gauge_index g in
-          match gauge_kind g with
-          | `Additive -> a.gauges.(i) <- a.gauges.(i) + d.gauges.(i)
-          | `Sampled ->
-              (* Sampled gauges are coordinator-only by contract; a task
-                 delta carries them only if a task broke that contract,
-                 in which case last-write-wins is as good as anything. *)
-              if d.gauges.(i) <> 0 then a.gauges.(i) <- d.gauges.(i))
-        all_gauges;
+      for i = 0 to n_gauges - 1 do
+        a.gauges.(i) <- a.gauges.(i) + d.gauges.(i)
+      done;
       Hashtbl.iter
         (fun key v ->
           let prev =
@@ -504,9 +465,6 @@ let derived_rates snap =
     (fun (name, num, den) ->
       Option.map (fun p -> (name, p)) (pct num den))
     [
-      ( "run.span_cache.hit_pct",
-        c "run.span_cache_hits",
-        c "run.span_cache_hits" + c "run.span_cache_misses" );
       ( "maze.eval_cache.hit_pct",
         c "maze.eval_cache_hits",
         c "maze.eval_cache_hits" + c "maze.eval_cache_misses" );
@@ -514,9 +472,6 @@ let derived_rates snap =
         c "maze.eval_cache_misses",
         g "maze.memo_slots" );
       ("dp.memo.fill_pct", g "dp.memo_filled", g "dp.memo_slots");
-      ( "run.span_arena.occupancy_pct",
-        g "run.span_arena.filled",
-        g "run.span_arena.slots" );
     ]
 
 let summary snap =

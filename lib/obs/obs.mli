@@ -61,8 +61,6 @@ type counter =
   | Dp_fallbacks
       (** DP evals where the greedy incumbent won (or the DP had no
           feasible complete solution). *)
-  | Span_cache_hits  (** {!Run.span} memo hits. *)
-  | Span_cache_misses  (** {!Run.span} memo misses (one per distinct key). *)
   | Delay_evals_single  (** Single-wire delay-library lookups. *)
   | Delay_evals_branch  (** Branch delay-library lookups. *)
   | Char_sims  (** Characterization transient simulations. *)
@@ -96,39 +94,23 @@ val all_histograms : histogram list
 (** {1 Gauges}
 
     Cache-effectiveness gauges answer the question hit/miss counters
-    cannot: was a cache cold, right-sized, or thrashing? Two recording
-    disciplines share the type. {e Sampled} gauges
-    ({!Span_arena_slots}, {!Span_arena_filled}) are point-in-time sizes
-    written with {!gauge_set} at phase boundaries on the coordinator.
-    {e Additive} gauges ({!Maze_memo_slots}, {!Dp_memo_slots},
-    {!Dp_memo_filled}) accumulate with {!gauge_add} exactly like
-    counters and are absorbed from task deltas in task-index order, so
-    both kinds end up schedule-independent. *)
+    cannot: was a cache cold, right-sized, or thrashing? Gauges
+    accumulate with {!gauge_add} exactly like counters and are absorbed
+    from task deltas in task-index order, so their totals are
+    schedule-independent. *)
 
 type gauge =
-  | Span_arena_slots
-      (** Total cells across all {!Run.span} arena layouts (sampled). *)
-  | Span_arena_filled
-      (** Arena cells holding a computed span result (sampled). *)
   | Maze_memo_slots
-      (** Slots allocated across maze per-side eval memo tables
-          (additive, one contribution per table created). *)
-  | Dp_memo_slots
-      (** Slots allocated across DP memo tables (additive). *)
-  | Dp_memo_filled
-      (** DP memo slots actually written (additive). *)
+      (** Slots allocated across maze per-side eval memo tables (one
+          contribution per table created). *)
+  | Dp_memo_slots  (** Slots allocated across DP memo tables. *)
+  | Dp_memo_filled  (** DP memo slots actually written. *)
 
 val gauge_name : gauge -> string
 val all_gauges : gauge list
 
-val gauge_set : gauge -> int -> unit
-(** Overwrite a sampled gauge in the calling domain's active
-    accumulator. Coordinator-only by convention: call it outside pool
-    tasks so the value lands in the process totals. No-op when
-    disabled. *)
-
 val gauge_add : gauge -> int -> unit
-(** Add to an additive gauge (task-safe; absorbed like a counter).
+(** Add to a gauge (task-safe; absorbed like a counter).
     No-op when disabled or the amount is zero. *)
 
 val gauge_read : gauge -> int

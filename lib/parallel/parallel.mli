@@ -10,8 +10,8 @@
     {b Determinism contract}: {!map} applies [f] to the elements in an
     unspecified interleaving across domains, but the result array is
     always index-ordered. Callers that need bit-identical results across
-    pool sizes must make [f] pure up to commutative-and-deterministic
-    memoization (see {!Run.span}) and must apply any side effects
+    pool sizes must make [f] pure — reading shared state only if it is
+    immutable, as {!Run.ctx} is — and must apply any side effects
     themselves, in index order, after {!map} returns — this is how
     {!Cts.synthesize} keeps parallel and sequential synthesis
     bit-identical.

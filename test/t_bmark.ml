@@ -40,6 +40,19 @@ let gsrc_malformed_line () =
   Alcotest.(check bool) "bad record raises" true
     (try ignore (G.parse "s0 1 2\n"); false with Failure _ -> true)
 
+let gsrc_bad_header_value () =
+  (* A header value that is not a number names its line, like a bad
+     record does. *)
+  List.iter
+    (fun text ->
+      match G.parse text with
+      | _ -> Alcotest.failf "accepted %S" text
+      | exception Failure msg ->
+          Alcotest.(check bool) ("line named: " ^ msg) true
+            (String.length msg >= 25
+            && String.sub msg 0 25 = "Gsrc_format.parse: line 1"))
+    [ "NumPins : x\n"; "UnitRes : ohm\n"; "UnitCap: ?\n" ]
+
 let ispd_roundtrip () =
   let sinks = T_env.random_sinks ~seed:62 ~n:10 ~die:20000. () in
   let t =
@@ -152,6 +165,7 @@ let suite =
     Alcotest.test_case "gsrc comments" `Quick gsrc_comments_and_blanks;
     Alcotest.test_case "gsrc count mismatch" `Quick gsrc_count_mismatch;
     Alcotest.test_case "gsrc malformed" `Quick gsrc_malformed_line;
+    Alcotest.test_case "gsrc bad header value" `Quick gsrc_bad_header_value;
     Alcotest.test_case "ispd roundtrip" `Quick ispd_roundtrip;
     Alcotest.test_case "ispd minimal" `Quick ispd_minimal;
     Alcotest.test_case "ispd truncated" `Quick ispd_truncated_section;

@@ -38,7 +38,8 @@ let lpath_distance_consistent () =
 
 let span_ordering () =
   let dl = dl () and cfg = cfg () in
-  let s b = Run.span dl cfg ~drive:b ~load_cap:0.75e-15 in
+  let ctx = Run.context dl cfg in
+  let s b = Run.span ctx ~drive:b ~load_cap:0.75e-15 in
   Alcotest.(check bool) "span grows with drive" true
     (s T_env.b10 < s T_env.b20 && s T_env.b20 < s T_env.b30)
 
@@ -76,7 +77,9 @@ let run_long_inserts_buffers () =
   in
   List.iter2
     (fun span (p : Run.placed) ->
-      let max_span = Run.span dl cfg ~drive:p.Run.buf ~load_cap:0.75e-15 in
+      let max_span =
+        Run.span (Run.context dl cfg) ~drive:p.Run.buf ~load_cap:0.75e-15
+      in
       if span > max_span +. 1. then
         Alcotest.failf "span %.0f exceeds %s max %.0f" span
           p.Run.buf.B.name max_span)
@@ -85,9 +88,10 @@ let run_long_inserts_buffers () =
 let run_delay_monotone_in_length () =
   let dl = dl () and cfg = cfg () in
   let port = Port.of_sink (List.hd (T_env.random_sinks ~seed:23 ~n:1 ~die:10. ())) in
+  let ctx = Run.context dl cfg in
   let d len =
     let e = Run.eval dl cfg port len in
-    Maze.side_delay dl cfg e e.Run.top_free
+    Run.top_delay ctx e e.Run.top_free
   in
   Alcotest.(check bool) "monotone" true (d 200. < d 1000. && d 1000. < d 2500.)
 
@@ -95,11 +99,15 @@ let choose_buffer_prefers_small_on_tie () =
   let dl = dl () and cfg = cfg () in
   (* With a huge tie window every type qualifies: smallest wins. *)
   let cfg_loose = { cfg with Cts_config.prefer_small_within = 1e9 } in
-  let b, _ = Run.choose_buffer dl cfg_loose ~stub_len:0. ~load_cap:1e-15 in
+  let b, _ =
+    Run.choose_buffer (Run.context dl cfg_loose) ~stub_len:0. ~load_cap:1e-15
+  in
   Alcotest.(check string) "smallest" "BUF10X" b.B.name;
   (* With a zero window the longest-span type wins. *)
   let cfg_tight = { cfg with Cts_config.prefer_small_within = 0. } in
-  let b2, _ = Run.choose_buffer dl cfg_tight ~stub_len:0. ~load_cap:1e-15 in
+  let b2, _ =
+    Run.choose_buffer (Run.context dl cfg_tight) ~stub_len:0. ~load_cap:1e-15
+  in
   Alcotest.(check string) "max span" "BUF30X" b2.B.name
 
 (* ---------------- Maze ---------------- *)
@@ -186,8 +194,9 @@ let balance_capacity_positive () =
   let dl = dl () and cfg = cfg () in
   let p = Port.of_sink { Sinks.name = "bc"; pos = P.make 0. 0.; cap = 10e-15 } in
   Alcotest.(check bool) "capacity grows with distance" true
-    (Merge_routing.balance_capacity dl cfg p 2000.
-    > Merge_routing.balance_capacity dl cfg p 500.)
+    (let ctx = Run.context dl cfg in
+     Merge_routing.balance_capacity ctx p 2000.
+     > Merge_routing.balance_capacity ctx p 500.)
 
 (* ---------------- Timing ---------------- *)
 

@@ -327,18 +327,29 @@ let config_respects_library () =
 
 let spans_consistent_with_max_length () =
   let dl = T_env.get_dl () in
-  let cfg = Cts_config.default dl in
-  (* Run.span memoization returns the same value as a direct query. *)
-  let direct =
-    Delaylib.max_length_for_slew dl ~drive:T_env.b20 ~load_cap:5e-15
-      ~input_slew:cfg.Cts_config.slew_target
-      ~slew_limit:cfg.Cts_config.slew_target
-  in
-  check_f 1e-9 "memoized = direct" direct
-    (Run.span dl cfg ~drive:T_env.b20 ~load_cap:5e-15);
-  check_f 1e-9 "memoized twice identical"
-    (Run.span dl cfg ~drive:T_env.b20 ~load_cap:5e-15)
-    (Run.span dl cfg ~drive:T_env.b20 ~load_cap:5e-15)
+  let base = Cts_config.default dl in
+  (* The context's span table holds exactly the direct query, for every
+     driver, load cap and slew target. *)
+  List.iter
+    (fun scale ->
+      let target = base.Cts_config.slew_target *. scale in
+      let ctx = Run.context dl { base with Cts_config.slew_target = target } in
+      List.iter
+        (fun (drive : B.t) ->
+          List.iter
+            (fun load_cap ->
+              let direct =
+                Delaylib.max_length_for_slew dl ~drive ~load_cap
+                  ~input_slew:target ~slew_limit:target
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s into %g F at %g s" drive.B.name load_cap
+                   target)
+                true
+                (Float.equal direct (Run.span ctx ~drive ~load_cap)))
+            [ 0.3e-15; 0.75e-15; 2e-15; 5e-15; 12e-15; 35e-15; 90e-15 ])
+        (base.Cts_config.assumed_driver :: Delaylib.buffers dl))
+    [ 0.9; 1.; 1.05 ]
 
 let elmore_estimate_orders_buffers () =
   (* The DME baseline's coarse buffer delay model must at least order the

@@ -75,8 +75,8 @@ let strictly_better (ok1, c1, a1) (ok2, c2, a2) =
     | 0 -> Float.compare a1 a2 < 0
     | c -> c < 0
 
-let score dl cfg (e : Run.eval) =
-  let c, a = Run.run_cost dl cfg e in
+let score ctx (e : Run.eval) =
+  let c, a = Run.run_cost ctx e in
   (e.Run.feasible, c, a)
 
 let qcheck_dp_never_worse_than_greedy =
@@ -89,7 +89,8 @@ let qcheck_dp_never_worse_than_greedy =
       let length = float_of_int len in
       let g = Run.eval_greedy dl cfg port length in
       let d = Run.eval dl cfg port length in
-      not (strictly_better (score dl cfg g) (score dl cfg d)))
+      let ctx = Run.context dl cfg in
+      not (strictly_better (score ctx g) (score ctx d)))
 
 (* ------------------------------------------------------------------ *)
 (* Brute-force optimality cross-check on tiny position sets            *)
@@ -99,13 +100,14 @@ let qcheck_dp_never_worse_than_greedy =
    positions and stubs keep every memo key in eval_dp distinct. *)
 let eval_chain dl (cfg : Cts_config.t) (port : Port.t) ~length chain =
   let tech = Delaylib.tech dl in
+  let ctx = Run.context dl cfg in
   let rec go cost area ~prev_pos ~prev_load ~prev_stub = function
     | [] ->
         let top_stub_len = length -. prev_pos +. prev_stub in
         let top_ok =
           top_stub_len
           <= cfg.Cts_config.top_margin
-             *. Run.span dl cfg ~drive:cfg.Cts_config.assumed_driver
+             *. Run.span ctx ~drive:cfg.Cts_config.assumed_driver
                   ~load_cap:prev_load
         in
         let top =
@@ -116,10 +118,12 @@ let eval_chain dl (cfg : Cts_config.t) (port : Port.t) ~length chain =
         Some (top_ok, cost +. top.Delaylib.wire_delay, area)
     | (pos, buf) :: rest ->
         let stage_len = pos -. prev_pos +. prev_stub in
-        if stage_len > Run.span dl cfg ~drive:buf ~load_cap:prev_load then
+        if stage_len > Run.span ctx ~drive:buf ~load_cap:prev_load then
           None
         else
-          let d = Run.stage_delay dl cfg buf ~length:stage_len ~load_cap:prev_load in
+          let d =
+            Run.stage_delay ctx buf ~length:stage_len ~load_cap:prev_load
+          in
           let a = Circuit.Buffer_lib.area_x buf in
           go
             (cost +. d +. (cfg.Cts_config.dp_area_weight *. a))
@@ -257,9 +261,9 @@ let qcheck_prepared_matches_fresh =
       let dp = dp_cfg ~grid dl in
       let greedy = Cts_config.with_insertion dp Cts_config.Greedy in
       let port = make_port pd in
-      let pg = Run.prepare dl greedy port
-      and pdp = Run.prepare_dp dl dp port
-      and pe = Run.prepare dl dp port in
+      let pg = Run.prepare (Run.context dl greedy) port
+      and pdp = Run.prepare_dp (Run.context dl dp) port
+      and pe = Run.prepare (Run.context dl dp) port in
       List.for_all
         (fun len ->
           same_eval (pg len) (Run.eval_greedy dl greedy port len)

@@ -141,9 +141,7 @@ let test_enabled_run_identical_and_counted () =
   let dl = T_env.get_dl () in
   let specs = T_env.random_sinks ~seed:42 ~n:12 ~die:3000. () in
   Obs.set_enabled false;
-  Run.reset_span_cache ();
   let plain = Cts.synthesize dl specs in
-  Run.reset_span_cache ();
   let observed, snap =
     with_obs (fun () ->
         let r = Cts.synthesize dl specs in
@@ -208,7 +206,6 @@ let qcheck_counters_schedule_independent =
       in
       let snap_at size =
         Parallel.with_pool ~size (fun p ->
-            Run.reset_span_cache ();
             with_obs (fun () ->
                 ignore (Cts.synthesize ~config:cfg ~pool:p dl specs);
                 Obs.snapshot ()))
@@ -218,23 +215,47 @@ let qcheck_counters_schedule_independent =
       s1.Obs.counters = s4.Obs.counters
       && s1.Obs.histograms = s4.Obs.histograms)
 
-(* ------------------ memo tables vs direct compute ------------------ *)
+(* A synthesis owns its run context: nothing it computes outlives it,
+   so a second identical synthesis in the same process counts exactly
+   the same work as the first — no reset in between. A freshly loaded
+   library keeps the first run from reading anything an earlier test
+   left behind. *)
+let test_back_to_back_counters_identical () =
+  ignore (T_env.get_dl () : Delaylib.t);
+  let dl = Delaylib.load "test_delaylib_fast.txt" in
+  let specs = T_env.random_sinks ~seed:43 ~n:12 ~die:3000. () in
+  let snap () =
+    with_obs (fun () ->
+        ignore (Cts.synthesize dl specs : Cts.result);
+        Obs.snapshot ())
+  in
+  let first = snap () in
+  let second = snap () in
+  checkb "delay-library evaluations were counted" true
+    (List.assoc "delaylib.evals_single" first.Obs.counters > 0);
+  List.iter2
+    (fun (name, a) (_, b) -> checki ("second run: " ^ name) a b)
+    first.Obs.counters second.Obs.counters
 
-(* The arena/flat-table rewrites of the hot-path memos must be
-   invisible: a memoized lookup returns the exact value the direct
-   computation yields, on the miss path and on the hit path alike. *)
+(* ------------------ tables and memos vs direct compute ------------------ *)
 
-let qcheck_span_arena_matches_direct =
-  QCheck.Test.make ~name:"obs: Run.span arena = direct max_length_for_slew"
+(* The context's span table and the maze's flat memo must be
+   invisible: a lookup returns the exact value the direct computation
+   yields. *)
+
+let qcheck_span_table_matches_direct =
+  QCheck.Test.make ~name:"obs: Run.span table = direct max_length_for_slew"
     ~count:40
     QCheck.(pair (int_range 0 1000) (float_range 1e-15 60e-15))
     (fun (salt, load_cap) ->
       let dl = T_env.get_dl () in
       let cfg = Cts_config.default dl in
-      let bufs = Array.of_list (Delaylib.buffers dl) in
-      let drive = bufs.(salt mod Array.length bufs) in
-      (* Exercise the layout-growth path too: every distinct slew
-         target appends a slew row to the arena. *)
+      (* Every table row: the library types and the assumed driver. *)
+      let drivers =
+        Array.of_list (cfg.Cts_config.assumed_driver :: Delaylib.buffers dl)
+      in
+      let drive = drivers.(salt mod Array.length drivers) in
+      (* Varied slew targets: each context tables its own. *)
       let cfg =
         {
           cfg with
@@ -248,9 +269,7 @@ let qcheck_span_arena_matches_direct =
           ~input_slew:cfg.Cts_config.slew_target
           ~slew_limit:cfg.Cts_config.slew_target
       in
-      let first = Run.span dl cfg ~drive ~load_cap in
-      let second = Run.span dl cfg ~drive ~load_cap in
-      Float.equal first direct && Float.equal second direct)
+      Float.equal (Run.span (Run.context dl cfg) ~drive ~load_cap) direct)
 
 let qcheck_maze_memo_matches_direct =
   QCheck.Test.make ~name:"obs: Maze.eval_memo = direct Run.eval" ~count:20
@@ -260,7 +279,7 @@ let qcheck_maze_memo_matches_direct =
       let cfg = Cts_config.default dl in
       let spec = List.hd (T_env.random_sinks ~seed:(200 + salt) ~n:2 ~die:2000. ()) in
       let port = Port.of_sink spec in
-      let memo = Maze.eval_memo dl cfg port ~max_d:400. in
+      let memo = Maze.eval_memo (Run.context dl cfg) port ~max_d:400. in
       (* On-grid distances are their own quantization representatives,
          so the memo must agree with the direct evaluation exactly. *)
       let d = float_of_int (key mod 4001) /. 10. in
@@ -272,7 +291,9 @@ let test_maze_memo_bounds () =
   let dl = T_env.get_dl () in
   let cfg = Cts_config.default dl in
   let spec = List.hd (T_env.random_sinks ~seed:3 ~n:2 ~die:1000. ()) in
-  let memo = Maze.eval_memo dl cfg (Port.of_sink spec) ~max_d:50. in
+  let memo =
+    Maze.eval_memo (Run.context dl cfg) (Port.of_sink spec) ~max_d:50.
+  in
   ignore (memo 50.);
   match memo 80. with
   | _ -> Alcotest.fail "expected Invalid_argument beyond max_d"
@@ -294,8 +315,10 @@ let suite =
     Alcotest.test_case "observing perturbs nothing and counts" `Slow
       test_enabled_run_identical_and_counted;
     QCheck_alcotest.to_alcotest qcheck_counters_schedule_independent;
+    Alcotest.test_case "back-to-back syntheses count the same work" `Slow
+      test_back_to_back_counters_identical;
     Alcotest.test_case "maze memo rejects beyond max_d" `Quick
       test_maze_memo_bounds;
-    QCheck_alcotest.to_alcotest qcheck_span_arena_matches_direct;
+    QCheck_alcotest.to_alcotest qcheck_span_table_matches_direct;
     QCheck_alcotest.to_alcotest qcheck_maze_memo_matches_direct;
   ]

@@ -216,15 +216,44 @@ let non_finite_run_length () =
           ("eval_dp", Run.eval_dp dl dp port);
           ("eval greedy", Run.eval dl greedy port);
           ("eval dp", Run.eval dl dp port);
-          ("prepared greedy", Run.prepare dl greedy port);
-          ("prepared dp", Run.prepare dl dp port);
+          ("prepared greedy", Run.prepare (Run.context dl greedy) port);
+          ("prepared dp", Run.prepare (Run.context dl dp) port);
         ])
     [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* Non-finite sink input is rejected up front. A NaN cap used to
+   synthesize an unsettled tree with infinite skew, and a non-finite
+   coordinate sent synthesis into a search that did not finish. *)
+let non_finite_sinks_rejected () =
+  let dl = T_env.get_dl () in
+  let ok = { Sinks.name = "ok"; pos = P.make 20. 20.; cap = 5e-15 } in
+  let bad ?(cap = 5e-15) x y = { Sinks.name = "bad"; pos = P.make x y; cap } in
+  List.iter
+    (fun (what, sink) ->
+      let specs = [ sink; ok ] in
+      Alcotest.(check bool) (what ^ ": validate rejects") true
+        (Sinks.validate specs <> []);
+      let t0 = Sys.time () in
+      (match Cts.synthesize dl specs with
+      | _ -> Alcotest.failf "%s: synthesized" what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) (what ^ ": rejected well under a second") true
+        (Sys.time () -. t0 < 0.5))
+    [
+      ("NaN cap", bad ~cap:Float.nan 10. 10.);
+      ("infinite cap", bad ~cap:Float.infinity 10. 10.);
+      ("NaN x", bad Float.nan 10.);
+      ("infinite x", bad Float.infinity 10.);
+      ("NaN y", bad 10. Float.nan);
+      ("negative infinite y", bad 10. Float.neg_infinity);
+    ]
 
 let suite =
   [
     Alcotest.test_case "useful skew" `Slow useful_skew_scheduling;
     Alcotest.test_case "non-finite run length" `Quick non_finite_run_length;
+    Alcotest.test_case "non-finite sinks rejected" `Quick
+      non_finite_sinks_rejected;
     Alcotest.test_case "coincident sinks" `Slow coincident_sinks;
     Alcotest.test_case "two near sinks" `Quick two_sinks_minimal;
     Alcotest.test_case "extreme cap ratio" `Quick extreme_cap_ratio;
