@@ -15,7 +15,10 @@ type metrics = {
 
 (* Build the RC tree of one stage: everything below [node]'s output until
    the next buffers (which appear as their gate capacitance). Returns the
-   RC tree plus the buffer nodes discovered at the stage boundary. *)
+   RC tree plus the buffers discovered at the stage boundary, each with
+   its cell and the tag of its gate. Merge nodes are untagged: nothing
+   reads their waveforms, and a tag would have the simulator record
+   them. *)
 let build_stage tech (node : Ctree.t) =
   let next_buffers = ref [] in
   let stage_sinks = ref [] in
@@ -25,12 +28,10 @@ let build_stage tech (node : Ctree.t) =
         stage_sinks := child :: !stage_sinks;
         Rc.leaf ~tag:("sink:" ^ name) cap
     | Ctree.Buf b ->
-        next_buffers := (child, "buf:" ^ string_of_int child.Ctree.id) :: !next_buffers;
-        Rc.leaf
-          ~tag:("buf:" ^ string_of_int child.Ctree.id)
-          (Buffer_lib.input_cap tech b)
-    | Ctree.Merge ->
-        Rc.node ~tag:("m:" ^ string_of_int child.Ctree.id) (edges child)
+        let tag = "buf:" ^ string_of_int child.Ctree.id in
+        next_buffers := (child, b, tag) :: !next_buffers;
+        Rc.leaf ~tag (Buffer_lib.input_cap tech b)
+    | Ctree.Merge -> Rc.node (edges child)
   and edges (n : Ctree.t) =
     List.map
       (fun (e : Ctree.edge) -> Rc.wire tech ~length:e.Ctree.length (sub e.Ctree.child))
@@ -43,10 +44,17 @@ let crop_margin = 100e-12
 
 let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
     (root : Ctree.t) =
-  (match root.Ctree.kind with
-  | Ctree.Buf _ -> ()
-  | Ctree.Sink _ | Ctree.Merge ->
-      invalid_arg "Ctree_sim.simulate: root must be a buffer");
+  if not (Float.is_finite source_slew && source_slew > 0.) then
+    invalid_arg
+      (Printf.sprintf
+         "Ctree_sim.simulate: source_slew must be finite and positive (got %g)"
+         source_slew);
+  let root_buf =
+    match root.Ctree.kind with
+    | Ctree.Buf b -> b
+    | Ctree.Sink _ | Ctree.Merge ->
+        invalid_arg "Ctree_sim.simulate: root must be a buffer"
+  in
   let vdd = tech.Circuit.Tech.vdd in
   let source = W.smooth_curve ~vdd ~slew:source_slew () in
   let t_source_50 =
@@ -68,17 +76,12 @@ let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
         end
     | None -> all_settled := false
   in
-  (* Worklist of buffer stages: (buffer node, input waveform). *)
+  (* Worklist of buffer stages: (buffer node, its cell, input waveform). *)
   let queue = Queue.create () in
-  Queue.add (root, source) queue;
+  Queue.add (root, root_buf, source) queue;
   while not (Queue.is_empty queue) do
-    let node, input = Queue.pop queue in
+    let node, buf, input = Queue.pop queue in
     incr n_stages;
-    let buf =
-      match node.Ctree.kind with
-      | Ctree.Buf b -> b
-      | Ctree.Sink _ | Ctree.Merge -> assert false
-    in
     let rc, next, stage_sinks = build_stage tech node in
     let res = T.simulate ~config tech (T.Driven_buffer (buf, input)) rc in
     if not (T.settled res) then all_settled := false;
@@ -99,7 +102,7 @@ let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
       stage_sinks;
     (* Seed downstream buffer stages with cropped input waveforms. *)
     List.iter
-      (fun (bnode, tag) ->
+      (fun (bnode, bcell, tag) ->
         let wave = T.waveform res tag in
         note_slew tag wave;
         let cropped =
@@ -107,7 +110,7 @@ let simulate ?(config = T.default_config) ?(source_slew = 60e-12) tech
           | Some t -> W.crop_before wave (t -. crop_margin)
           | None -> wave
         in
-        Queue.add (bnode, cropped) queue)
+        Queue.add (bnode, bcell, cropped) queue)
       next
   done;
   let delays = List.map snd !sink_arrivals in

@@ -30,4 +30,7 @@ val simulate :
 (** [simulate tech tree] drives the root buffer with a realistic curved
     edge of 10%-90% slew [source_slew] (default 60 ps) and reports
     tree-level metrics. Raises [Invalid_argument] if the root is not a
-    buffer or a sink never rises. *)
+    buffer or [source_slew] is not finite and positive. A sink that never
+    rises (a stage that hits [config.t_max]) raises nothing: its delay is
+    [infinity], so [latency] and [skew] are [infinity], and [all_settled]
+    is false. *)

@@ -4,8 +4,18 @@
     two-inverter buffer fed by a known input waveform — driving a lumped
     RC tree (the interconnect up to the next buffers' gates and sinks).
     Integration is backward Euler with semi-implicit (linearized per
-    Newton iteration) alpha-power inverter stamps; the tree-structured
-    linear system is solved in O(n) per step.
+    Newton iteration) alpha-power inverter stamps. The tree is linear and
+    only its root row carries the nonlinear driver, so the tree's
+    diagonal is eliminated once per stage ({!Rc_flat.factor}); a step
+    reduces the right-hand side once, runs a scalar Newton on the root
+    (O(root degree) per iteration) and back-substitutes once. Each
+    inverter's gate-voltage-dependent part ({!Circuit.Device.drive}, the
+    [pow] of the alpha-power law) is set once per step, not per Newton
+    iteration. The step loop allocates no records, closures or lists:
+    only the floats it passes to other modules are boxed (18 words a
+    step for a buffer-driven stage). Results
+    are bit-identical to re-stamping and re-solving the whole tree in
+    every Newton iteration (a qcheck oracle pins this).
 
     This staged decomposition is exact for clock trees because buffers
     present only their (constant) gate capacitance to the upstream stage;

@@ -17,16 +17,22 @@ let t_start w = w.ts.(0)
 let t_end w = w.ts.(Array.length w.ts - 1)
 let final_value w = w.vs.(Array.length w.vs - 1)
 
-(* Largest index i with ts.(i) <= t, by binary search. *)
+(* Largest index i with ts.(i) <= t, by binary search. A loop, not a
+   local recursive function: this runs once per simulated timestep and
+   must not allocate a closure. *)
 let locate w t =
-  let n = Array.length w.ts in
-  let rec go lo hi =
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if w.ts.(mid) <= t then go mid hi else go lo mid
-  in
-  if t < w.ts.(0) then -1 else if t >= w.ts.(n - 1) then n - 1 else go 0 (n - 1)
+  let ts = w.ts in
+  let n = Array.length ts in
+  if t < ts.(0) then -1
+  else if t >= ts.(n - 1) then n - 1
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if ts.(mid) <= t then lo := mid else hi := mid
+    done;
+    !lo
+  end
 
 let value_at w t =
   let n = Array.length w.ts in

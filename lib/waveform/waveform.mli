@@ -6,7 +6,10 @@
     rising clock edges: generators produce 0 -> Vdd transitions and the
     measurement helpers ([slew_10_90], [crossing]) are phrased for
     monotone-on-average rising edges but work on any trace via
-    first-crossing semantics. *)
+    first-crossing semantics.
+
+    Domain-safety: waveforms are immutable once made; the only mutable
+    state is local to a lookup. No global state. *)
 
 type t
 

@@ -248,12 +248,55 @@ let non_finite_sinks_rejected () =
       ("negative infinite y", bad 10. Float.neg_infinity);
     ]
 
+(* A one-buffer tree: the source buffer drives 300 um to one sink. *)
+let one_buffer_tree () =
+  let sink = Ctree.sink ~name:"s" ~pos:(P.make 300. 0.) ~cap:10e-15 in
+  Ctree.buffer ~pos:(P.make 0. 0.)
+    (B.by_name B.default_library "BUF20X")
+    [ Ctree.edge ~length:300. sink ]
+
+(* A non-finite or non-positive source slew is rejected up front, naming
+   the argument: NaN used to return an all-infinite result, and the
+   others escaped as a Waveform.make error. *)
+let bad_source_slew_rejected () =
+  let tree = one_buffer_tree () in
+  List.iter
+    (fun (what, source_slew) ->
+      match Ctree_sim.simulate ~source_slew tech tree with
+      | _ -> Alcotest.failf "%s: source_slew accepted" what
+      | exception Invalid_argument msg ->
+          let nm = String.length msg and nk = String.length "source_slew" in
+          let rec at i =
+            i + nk <= nm && (String.sub msg i nk = "source_slew" || at (i + 1))
+          in
+          Alcotest.(check bool) (what ^ ": message names source_slew") true (at 0))
+    [
+      ("NaN", Float.nan);
+      ("zero", 0.);
+      ("negative", -1e-12);
+      ("infinite", Float.infinity);
+    ]
+
+(* A stage cut off by t_max is reported, not raised: no sink rises, so
+   latency and skew are infinite and the tree is not settled. *)
+let never_rising_sink_reported () =
+  let config = { Spice_sim.Transient.default_config with t_max = 20e-12 } in
+  let m = Ctree_sim.simulate ~config tech (one_buffer_tree ()) in
+  Alcotest.(check bool) "latency infinite" true (m.Ctree_sim.latency = Float.infinity);
+  Alcotest.(check bool) "skew infinite" true (m.Ctree_sim.skew = Float.infinity);
+  Alcotest.(check bool) "not settled" false m.Ctree_sim.all_settled;
+  Alcotest.(check int) "one stage" 1 m.Ctree_sim.n_stages
+
 let suite =
   [
     Alcotest.test_case "useful skew" `Slow useful_skew_scheduling;
     Alcotest.test_case "non-finite run length" `Quick non_finite_run_length;
     Alcotest.test_case "non-finite sinks rejected" `Quick
       non_finite_sinks_rejected;
+    Alcotest.test_case "bad source slew rejected" `Quick
+      bad_source_slew_rejected;
+    Alcotest.test_case "never-rising sink reported" `Quick
+      never_rising_sink_reported;
     Alcotest.test_case "coincident sinks" `Slow coincident_sinks;
     Alcotest.test_case "two near sinks" `Quick two_sinks_minimal;
     Alcotest.test_case "extreme cap ratio" `Quick extreme_cap_ratio;

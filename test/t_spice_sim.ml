@@ -214,6 +214,274 @@ let unsettled_detection () =
   in
   Alcotest.(check bool) "not settled" false (T.settled res)
 
+(* ---------------- Bitwise kernel oracle ---------------- *)
+
+(* The stage kernel before its factoring, kept verbatim as the reference:
+   per-call [Device] current and conductance, a full re-stamp and O(n)
+   [Rc_flat.solve] per Newton iteration, list-based recording. The
+   factored kernel must reproduce it bit for bit. *)
+module Ref = struct
+  module Tech = Circuit.Tech
+  module Buffer_lib = Circuit.Buffer_lib
+
+  module Device = struct
+    let nmos_current (tech : Tech.t) ~size ~vgs ~vds =
+      if vgs <= tech.vt || vds <= 0. then 0.
+      else begin
+        let vov = vgs -. tech.vt in
+        let idsat = tech.k_per_x *. size *. (vov ** tech.alpha) in
+        let vdsat = tech.vdsat_frac *. vov in
+        if vds >= vdsat then idsat
+        else
+          let x = vds /. vdsat in
+          idsat *. x *. (2. -. x)
+      end
+
+    let inverter_current tech ~size ~vin ~vout =
+      let vdd = tech.Tech.vdd in
+      (* Pull-down NMOS: gate at vin, source at ground, drain at vout. *)
+      let i_n = nmos_current tech ~size ~vgs:vin ~vds:vout in
+      (* Pull-up PMOS: complementary — treat as an NMOS in the mirrored frame
+         (gate drive vdd - vin, drain-source drop vdd - vout). *)
+      let i_p = nmos_current tech ~size ~vgs:(vdd -. vin) ~vds:(vdd -. vout) in
+      i_p -. i_n
+
+    let inverter_conductance tech ~size ~vin ~vout =
+      let dv = 1e-4 in
+      let i_hi = inverter_current tech ~size ~vin ~vout:(vout +. dv) in
+      let i_lo = inverter_current tech ~size ~vin ~vout:(vout -. dv) in
+      Float.max 0. (-.(i_hi -. i_lo) /. (2. *. dv))
+  end
+
+  let solve (t : Rc_flat.t) ~diag ~rhs ~into =
+    let n = t.n in
+    (* Leaf-to-root elimination: preorder numbering guarantees
+       parent.(i) < i, so a reverse sweep eliminates children first. *)
+    for i = n - 1 downto 1 do
+      let p = t.parent.(i) in
+      let f = t.g_edge.(i) /. diag.(i) in
+      diag.(p) <- diag.(p) -. (f *. t.g_edge.(i));
+      rhs.(p) <- rhs.(p) +. (f *. rhs.(i))
+    done;
+    into.(0) <- rhs.(0) /. diag.(0);
+    for i = 1 to n - 1 do
+      let p = t.parent.(i) in
+      into.(i) <- (rhs.(i) +. (t.g_edge.(i) *. into.(p))) /. diag.(i)
+    done
+
+  type result = {
+    recorded : (string * W.t) list;
+    settled_flag : bool;
+  }
+
+  (* Growable float array for sample recording. *)
+  module Vec = struct
+    type t = { mutable a : float array; mutable len : int }
+
+    let create () = { a = Array.make 1024 0.; len = 0 }
+
+    let push v x =
+      if v.len = Array.length v.a then
+        v.a <- Array.append v.a (Array.make v.len 0.);
+      v.a.(v.len) <- x;
+      v.len <- v.len + 1
+
+    let to_array v = Array.sub v.a 0 v.len
+  end
+
+  (* Scalar backward-Euler Newton step for the buffer's internal node. *)
+  let advance_internal tech ~size ~cap ~dt ~iters ~vin ~v_old =
+    let c_dt = cap /. dt in
+    let v = ref v_old in
+    for _ = 1 to iters do
+      let i = Device.inverter_current tech ~size ~vin ~vout:!v in
+      let g = Device.inverter_conductance tech ~size ~vin ~vout:!v in
+      let f = (c_dt *. (!v -. v_old)) -. i in
+      let fp = c_dt +. g in
+      v := !v -. (f /. fp)
+    done;
+    (* Voltages stay physical. *)
+    Float.max (-0.1 *. tech.Tech.vdd) (Float.min (1.1 *. tech.Tech.vdd) !v)
+
+  let g_source = 1e4 (* 0.1 mohm source impedance for Dirichlet forcing *)
+
+  let simulate ?(config = T.default_config) (tech : Tech.t) driver tree =
+    let flat = Rc_flat.of_tree tree in
+    let n = flat.Rc_flat.n in
+    let cap = Array.copy flat.Rc_flat.cap in
+    (* The buffer's output diffusion capacitance loads the tree root. *)
+    (match driver with
+    | T.Driven_buffer (buf, _) -> cap.(0) <- cap.(0) +. Buffer_lib.output_cap tech buf
+    | T.Vsource _ -> ());
+    let input = match driver with T.Vsource w | T.Driven_buffer (_, w) -> w in
+    let dt = config.T.dt in
+    let c_dt = Array.map (fun c -> c /. dt) cap in
+    (* Static part of the diagonal: C/dt + sum of incident edge
+       conductances. *)
+    let diag_base = Array.copy c_dt in
+    for i = 1 to n - 1 do
+      diag_base.(i) <- diag_base.(i) +. flat.Rc_flat.g_edge.(i);
+      let p = flat.Rc_flat.parent.(i) in
+      diag_base.(p) <- diag_base.(p) +. flat.Rc_flat.g_edge.(i)
+    done;
+    let v = Array.make n 0. in
+    let v_next = Array.make n 0. in
+    let diag = Array.make n 0. in
+    let rhs = Array.make n 0. in
+    let vdd = tech.Tech.vdd in
+    (* Recording setup: every tagged node plus the root. *)
+    let rec_targets = ("__root", 0) :: flat.Rc_flat.tag_index in
+    let times = Vec.create () in
+    let samples = List.map (fun (tag, idx) -> (tag, idx, Vec.create ())) rec_targets in
+    let record t =
+      Vec.push times t;
+      List.iter (fun (_, idx, vec) -> Vec.push vec v.(idx)) samples
+    in
+    let t0 = W.t_start input in
+    let t_input_end = W.t_end input in
+    let internal_cap, stage2_size =
+      match driver with
+      | T.Driven_buffer (buf, _) ->
+          (Buffer_lib.internal_cap tech buf, buf.Buffer_lib.size)
+      | T.Vsource _ -> (0., 0.)
+    in
+    let v_a = ref vdd in
+    record t0;
+    let t = ref t0 in
+    let step_count = ref 0 in
+    let settled = ref false in
+    let all_settled () =
+      let ok = ref (W.value_at input !t >= 0.99 *. vdd) in
+      let i = ref 0 in
+      while !ok && !i < n do
+        if v.(!i) < 0.99 *. vdd then ok := false;
+        incr i
+      done;
+      !ok
+    in
+    while (not !settled) && !t < config.T.t_max do
+      let t_new = !t +. dt in
+      let vin = W.value_at input t_new in
+      (* Advance the buffer's internal (stage-1 output) node first; it only
+         sees the known input and its own capacitance. *)
+      let stage2_vin =
+        match driver with
+        | T.Driven_buffer (buf, _) ->
+            v_a :=
+              advance_internal tech ~size:buf.Buffer_lib.stage1_size
+                ~cap:internal_cap ~dt ~iters:config.T.newton_iters ~vin
+                ~v_old:!v_a;
+            !v_a
+        | T.Vsource _ -> 0.
+      in
+      (* Newton on the tree system; only the root carries a nonlinear
+         device, so each iteration re-stamps the root and re-solves. *)
+      let iters =
+        match driver with T.Driven_buffer _ -> config.T.newton_iters | T.Vsource _ -> 1
+      in
+      let vr = ref v.(0) in
+      for _ = 1 to iters do
+        Array.blit diag_base 0 diag 0 n;
+        for i = 0 to n - 1 do
+          rhs.(i) <- c_dt.(i) *. v.(i)
+        done;
+        (match driver with
+        | T.Driven_buffer _ ->
+            let i_dev =
+              Device.inverter_current tech ~size:stage2_size ~vin:stage2_vin
+                ~vout:!vr
+            in
+            let g_dev =
+              Device.inverter_conductance tech ~size:stage2_size
+                ~vin:stage2_vin ~vout:!vr
+            in
+            diag.(0) <- diag.(0) +. g_dev;
+            rhs.(0) <- rhs.(0) +. i_dev +. (g_dev *. !vr)
+        | T.Vsource _ ->
+            diag.(0) <- diag.(0) +. g_source;
+            rhs.(0) <- rhs.(0) +. (g_source *. vin));
+        solve flat ~diag ~rhs ~into:v_next;
+        vr := v_next.(0)
+      done;
+      Array.blit v_next 0 v 0 n;
+      t := t_new;
+      incr step_count;
+      if !step_count mod config.T.record_stride = 0 then record t_new;
+      if
+        !step_count mod 64 = 0
+        && t_new > t_input_end
+        && t_new > t0 +. (config.T.t_margin /. 10.)
+      then settled := all_settled ()
+    done;
+    let ts = Vec.to_array times in
+    let recorded =
+      List.map (fun (tag, _, vec) -> (tag, W.make ts (Vec.to_array vec))) samples
+    in
+    { recorded; settled_flag = !settled }
+end
+
+(* A random stage: a root with 1-4 wires of 0-1500 um, each ending in a
+   load cap or a buffer gate, some of them in a second-level branch. *)
+let random_stage rng =
+  let leaf_id = ref 0 in
+  let leaf () =
+    incr leaf_id;
+    let tag = Printf.sprintf "l%d" !leaf_id in
+    let cap =
+      if Util.Rng.bool rng then
+        B.input_cap tech (List.nth lib (Util.Rng.int rng (List.length lib)))
+      else Util.Rng.float_range rng 0.5e-15 60e-15
+    in
+    Rc.leaf ~tag cap
+  in
+  let wire tail = Rc.wire tech ~length:(Util.Rng.float rng 1500.) tail in
+  let branch () =
+    let fanout = 1 + Util.Rng.int rng 4 in
+    List.init fanout (fun _ ->
+        if Util.Rng.int rng 4 = 0 then
+          wire (Rc.node (List.init (1 + Util.Rng.int rng 3) (fun _ -> wire (leaf ()))))
+        else wire (leaf ()))
+  in
+  Rc.node ~tag:"out" (branch ())
+
+let bits w = Array.map Int64.bits_of_float w
+
+let factored_kernel_bitwise_equal =
+  QCheck.Test.make ~name:"factored stage kernel = reference, bit for bit"
+    ~count:60 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let rng = Util.Rng.create seed in
+      let tree = random_stage rng in
+      let slew = Util.Rng.float_range rng 10e-12 300e-12 in
+      let input =
+        if Util.Rng.bool rng then W.smooth_curve ~vdd ~slew ()
+        else W.ramp ~t0:(Util.Rng.float rng 50e-12) ~vdd ~slew ()
+      in
+      let driver =
+        if Util.Rng.int rng 4 = 0 then T.Vsource input
+        else
+          T.Driven_buffer (List.nth lib (Util.Rng.int rng (List.length lib)), input)
+      in
+      let config =
+        {
+          T.dt = List.nth [ 0.25e-12; 0.5e-12; 1e-12; 2e-12 ] (Util.Rng.int rng 4);
+          t_margin = T.default_config.T.t_margin;
+          (* A short budget now and then exercises the unsettled path. *)
+          t_max = (if Util.Rng.int rng 5 = 0 then 0.2e-9 else T.default_config.T.t_max);
+          newton_iters = Util.Rng.int rng 5;
+          record_stride = 1 + Util.Rng.int rng 3;
+        }
+      in
+      let got = T.simulate ~config tech driver tree in
+      let want = Ref.simulate ~config tech driver tree in
+      T.settled got = want.Ref.settled_flag
+      && bits (W.times (T.root_waveform got))
+         = bits (W.times (List.assoc "__root" want.Ref.recorded))
+      && List.for_all
+           (fun (tag, w) ->
+             let g = if tag = "__root" then T.root_waveform got else T.waveform got tag in
+             bits (W.times g) = bits (W.times w) && bits (W.values g) = bits (W.values w))
+           want.Ref.recorded)
+
 let suite =
   [
     Alcotest.test_case "flat preorder/parents" `Quick flat_preorder_parents;
@@ -229,4 +497,5 @@ let suite =
     Alcotest.test_case "timestep convergence" `Quick timestep_convergence;
     Alcotest.test_case "branch loads interact" `Quick branch_loads_interact;
     Alcotest.test_case "unsettled detection" `Quick unsettled_detection;
+    QCheck_alcotest.to_alcotest factored_kernel_bitwise_equal;
   ]
