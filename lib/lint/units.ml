@@ -169,6 +169,7 @@ type gctx = {
   fields : (string, uinfo) Hashtbl.t;  (* record field name -> unit *)
   mutable diags : Lint.diagnostic list;
   mutable emit : bool;  (* false during the scheme-collection passes *)
+  mutable changed : bool;  (* a scheme or field unit became more known *)
 }
 
 type fctx = {
@@ -343,13 +344,16 @@ let scheme_of_val g fc name ty =
    Unknown — the table is keyed by field name alone, since without the
    typer a field access cannot be resolved to its declaring type. *)
 let note_field g name u =
+  let set u =
+    Hashtbl.replace g.fields name u;
+    g.changed <- true
+  in
   match u with
-  | Unknown -> if not (Hashtbl.mem g.fields name) then ()
+  | Unknown -> ()
   | Known _ -> (
       match Hashtbl.find_opt g.fields name with
-      | None -> Hashtbl.replace g.fields name u
-      | Some (Known _ as u') ->
-          if u' <> u then Hashtbl.replace g.fields name Unknown
+      | None -> set u
+      | Some (Known _ as u') -> if u' <> u then set Unknown
       | Some Unknown -> ())
 
 let do_label_decls g fc ~public lds =
@@ -928,6 +932,34 @@ and generic_apply ctx env f args =
 
 let scheme_key_free g key = not (Hashtbl.mem g.mli_vals key)
 
+(* Scheme updates are monotone, from unknown to known: a known unit is
+   never revised, so the silent rounds reach a fixpoint. A scheme of
+   another shape (an alias binding whose target became known) replaces
+   the old one only when it knows more units. *)
+let known_units s =
+  List.length (List.filter (fun (_, u) -> u <> Unknown) s.sparams)
+  + if s.sresult = Unknown then 0 else 1
+
+let merge_scheme old nw =
+  if List.map fst old.sparams = List.map fst nw.sparams then
+    {
+      sparams =
+        List.map2
+          (fun (l, a) (_, b) -> (l, first_known a b))
+          old.sparams nw.sparams;
+      sresult = first_known old.sresult nw.sresult;
+    }
+  else if known_units nw > known_units old then nw
+  else old
+
+let set_scheme g key sch =
+  let old = Hashtbl.find_opt g.vals key in
+  let merged = match old with Some o -> merge_scheme o sch | None -> sch in
+  if old <> Some merged then begin
+    Hashtbl.replace g.vals key merged;
+    g.changed <- true
+  end
+
 (* Parameter environment for a top-level definition that has an mli
    scheme: zip the peeled parameters with the declared units (labelled
    parameters match by label, positional in order); constraint
@@ -969,10 +1001,8 @@ let do_top_binding g fc vb =
           let env = env_of_mli_params mli_sch params in
           let r = infer ctx env body in
           if mli_sch.sresult = Unknown && r <> Unknown then
-            Hashtbl.replace g.vals key { mli_sch with sresult = r }
-      | _ ->
-          let sch = scheme_of_binding ctx Env.empty vb.pvb_expr ~name in
-          Hashtbl.replace g.vals key sch)
+            set_scheme g key { mli_sch with sresult = r }
+      | _ -> set_scheme g key (scheme_of_binding ctx Env.empty vb.pvb_expr ~name))
   | _ ->
       let ctx = { g; fc; u4ok = has_unit_ok vb.pvb_attributes } in
       ignore (infer ctx Env.empty vb.pvb_expr)
@@ -1018,7 +1048,8 @@ let parse_with parser path contents =
 
 let check_sources sources =
   let sources =
-    List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources
+    List.sort compare
+      (List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources)
   in
   let g =
     {
@@ -1027,6 +1058,7 @@ let check_sources sources =
       fields = Hashtbl.create 256;
       diags = [];
       emit = false;
+      changed = false;
     }
   in
   let fresh_fc path =
@@ -1068,12 +1100,16 @@ let check_sources sources =
   g.emit <- true;
   List.iter (fun (path, sg) -> do_signature g (fresh_fc path) sg) mlis;
   g.emit <- false;
-  (* Passes 2-3 (silent): two rounds over implementations so schemes
-     inferred late feed call sites analyzed early, across files. *)
-  for _ = 1 to 2 do
-    List.iter (fun (path, str) -> do_structure g (fresh_fc path) str) mls
-  done;
-  (* Pass 4 (emitting): the real walk with the full global table. *)
+  (* Silent rounds over implementations until no scheme or field unit
+     changes, so schemes inferred late feed call sites analyzed early,
+     across files and through call chains of any depth. *)
+  let rec rounds () =
+    g.changed <- false;
+    List.iter (fun (path, str) -> do_structure g (fresh_fc path) str) mls;
+    if g.changed then rounds ()
+  in
+  rounds ();
+  (* Final pass (emitting): the real walk with the full global table. *)
   g.emit <- true;
   List.iter (fun (path, str) -> do_structure g (fresh_fc path) str) mls;
   Lint.sort_diagnostics g.diags

@@ -120,6 +120,36 @@ let test_u1_interprocedural_inference () =
          let slack_ps = 4.0e-12\n" );
     ]
 
+let chain_sources =
+  (* [a.ml]'s mismatch sits behind a three-call scheme chain into
+     [d.ml], [e.ml]'s behind a two-call one. *)
+  [
+    ("lib/cts_core/a.ml",
+     "let f0 x = B.f1 x\nlet bad len_um t_ps = len_um +. f0 t_ps\n");
+    ("lib/cts_core/b.ml", "let f1 x = C.f2 x\n");
+    ("lib/cts_core/c.ml", "let f2 x = D.f3 x\n");
+    ("lib/cts_core/d.ml", "let f3 (t_ps : float) = t_ps\n");
+    ("lib/cts_core/e.ml",
+     "let g0 x = C.f2 x\nlet bad len_um t_ps = len_um +. g0 t_ps\n");
+  ]
+
+let chain_diags =
+  [
+    "lib/cts_core/a.ml:2:22: [U1] unit mismatch: (+.) combines um with ps";
+    "lib/cts_core/e.ml:2:22: [U1] unit mismatch: (+.) combines um with ps";
+  ]
+
+let test_u1_scheme_chain () =
+  (* Scheme inference runs to a fixpoint, so a chain of any depth is
+     resolved whatever order the files arrive in. *)
+  check_diags "sorted order" chain_diags chain_sources;
+  check_diags "reverse order" chain_diags (List.rev chain_sources);
+  check_diags "callee-first order" chain_diags
+    (List.map
+       (fun f -> (f, List.assoc f chain_sources))
+       [ "lib/cts_core/d.ml"; "lib/cts_core/c.ml"; "lib/cts_core/b.ml";
+         "lib/cts_core/a.ml"; "lib/cts_core/e.ml" ])
+
 (* ----------------------------- U2 --------------------------------- *)
 
 let test_u2 () =
@@ -295,6 +325,8 @@ let suite =
     Alcotest.test_case "U1: record fields" `Quick test_u1_record_field;
     Alcotest.test_case "U1: interprocedural inference" `Quick
       test_u1_interprocedural_inference;
+    Alcotest.test_case "U1: scheme chains of any depth" `Quick
+      test_u1_scheme_chain;
     Alcotest.test_case "U2: comparisons across units" `Quick test_u2;
     Alcotest.test_case "U3: unannotated public floats" `Quick test_u3;
     Alcotest.test_case "U3: bad attribute payloads" `Quick
