@@ -78,11 +78,11 @@ obs-baseline:
 	cp BENCH_obs.json bench/baselines/BENCH_obs_fast.json
 	@echo "baseline refreshed: bench/baselines/BENCH_obs_fast.json"
 
-# All four lint passes: determinism / domain-safety rules (L1-L5),
-# the physical-units checker (U1-U4), the concurrency-effect race
-# analyzer (C1-C5) and the exception-flow / resource-safety analyzer
-# (E1-E5); see DESIGN.md sections 5e/5f/5h/5k. This one target is the
-# local pre-commit story.
+# All four lint passes from one parse: determinism / domain-safety
+# rules (L1-L5), the physical-units checker (U1-U4), the
+# concurrency-effect race analyzer (C1-C5) and the exception-flow /
+# resource-safety analyzer (E1-E5); see DESIGN.md sections
+# 5e/5f/5h/5k. This one target is the local pre-commit story.
 lint:
 	dune build @lint
 
@@ -112,6 +112,14 @@ lint-exc:
 # rule, or the fixture (and the test pinned to it) has rotted.
 lint-fixtures:
 	dune build bin/cts_lint.exe
+	@if dune exec --no-build bin/cts_lint.exe -- \
+	  --json determinism_fixtures.json test/fixtures/lint/lib/numerics \
+	  > /dev/null; then \
+	  echo "lint-fixtures: expected determinism diagnostics, got none"; exit 1; fi
+	@for r in L1 L2 L3 L4 L5; do \
+	  grep -q "\"rule\": \"$$r\"" determinism_fixtures.json \
+	    || { echo "lint-fixtures: rule $$r did not fire"; exit 1; }; \
+	done
 	@if dune exec --no-build bin/cts_lint.exe -- --only-units \
 	  --json lint_fixtures.json test/fixtures/lint > /dev/null; then \
 	  echo "lint-fixtures: expected diagnostics, got none"; exit 1; fi
@@ -133,7 +141,7 @@ lint-fixtures:
 	  grep -q "\"rule\": \"$$r\"" exc_fixtures.json \
 	    || { echo "lint-fixtures: rule $$r did not fire"; exit 1; }; \
 	done
-	@echo "lint-fixtures: all seeded fixtures fire (U1-U4, C1-C5, E1-E5)"
+	@echo "lint-fixtures: all seeded fixtures fire (L1-L5, U1-U4, C1-C5, E1-E5)"
 
 # Observability smoke test: synthesize a small synthetic benchmark with
 # --stats and --trace, then validate the emitted Chrome trace JSON
@@ -158,6 +166,7 @@ examples:
 clean-artifacts:
 	rm -f lint_report.json race_report.json exc_report.json \
 	  lint_fixtures.json race_fixtures.json exc_fixtures.json \
+	  determinism_fixtures.json \
 	  BENCH_*.json test_delaylib_fast.txt trace_smoke.json
 
 clean: clean-artifacts

@@ -1,19 +1,19 @@
 (* Determinism / domain-safety / units / race / exception lint driver.
 
-   Usage: cts_lint [--units] [--only-units] [--race] [--only-race]
-                   [--exc] [--only-exc] [--raises-table] [--json FILE]
-                   [DIR-OR-FILE ...]
+   Usage: cts_lint [--only-units] [--only-race] [--only-exc]
+                   [--raises-table] [--json FILE] [DIR-OR-FILE ...]
    (default paths: lib bin)
 
-   --units        run the physical-units checker (U1-U4) in addition to
-                  the determinism rules (L1-L5)
+   Every source is parsed once (Lint_ir) and the parsed sources are
+   handed to each analyzer family in turn. By default all four run:
+   the determinism rules (L1-L5), the physical-units checker (U1-U4),
+   the concurrency-effect race analyzer (C1-C5) and the exception-flow
+   analyzer (E1-E5).
+
    --only-units   run only the units checker
-   --race         run the concurrency-effect race analyzer (C1-C5) in
-                  addition to the determinism rules
    --only-race    run only the race analyzer
-   --exc          run the exception-flow analyzer (E1-E5) in addition
-                  to the determinism rules
    --only-exc     run only the exception-flow analyzer
+                  (--only-* flags combine: each adds its family)
    --raises-table print the inferred may-raise effect table
                   ("Module.name: Exn1,Exn2" per line) and exit 0 —
                   the source of truth for [@cts.raises] contracts
@@ -36,39 +36,19 @@
 
 let usage () =
   prerr_endline
-    "usage: cts_lint [--units] [--only-units] [--race] [--only-race] [--exc] \
-     [--only-exc] [--raises-table] [--json FILE] [DIR-OR-FILE ...]";
+    "usage: cts_lint [--only-units] [--only-race] [--only-exc] \
+     [--raises-table] [--json FILE] [DIR-OR-FILE ...]";
   exit 2
 
 let () =
-  let units = ref false in
-  let only_units = ref false in
-  let race = ref false in
-  let only_race = ref false in
-  let exc = ref false in
-  let only_exc = ref false in
+  let only = ref [] in
   let raises_table = ref false in
   let json_out = ref None in
   let paths = ref [] in
   let rec parse_args = function
     | [] -> ()
-    | "--units" :: rest ->
-        units := true;
-        parse_args rest
-    | "--only-units" :: rest ->
-        only_units := true;
-        parse_args rest
-    | "--race" :: rest ->
-        race := true;
-        parse_args rest
-    | "--only-race" :: rest ->
-        only_race := true;
-        parse_args rest
-    | "--exc" :: rest ->
-        exc := true;
-        parse_args rest
-    | "--only-exc" :: rest ->
-        only_exc := true;
+    | ("--only-units" | "--only-race" | "--only-exc" as flag) :: rest ->
+        only := flag :: !only;
         parse_args rest
     | "--raises-table" :: rest ->
         raises_table := true;
@@ -98,41 +78,35 @@ let () =
   let ml_count =
     List.length (List.filter (fun f -> Filename.check_suffix f ".ml") files)
   in
-  let base = not (!only_units || !only_race || !only_exc) in
-  let want_race = !race || !only_race in
-  let want_exc = !exc || !only_exc in
+  let want flag = !only = [] || List.mem flag !only in
+  let ir = Lint_ir.of_paths files in
   (* One analysis feeds both the E-rules and the race analyzer's
      raise-aware C4. *)
-  let exc_result =
-    if want_race || want_exc || !raises_table then
-      Some (Exc.analyze_paths files)
+  let exc =
+    if want "--only-race" || want "--only-exc" || !raises_table then
+      Some (Exc.analyze_ir ir)
     else None
   in
   if !raises_table then begin
-    (match exc_result with
-    | Some r ->
+    Option.iter
+      (fun r ->
         List.iter
           (fun ((m, n), exns) ->
             Printf.printf "%s.%s: %s\n" m n (String.concat "," exns))
-          r.Exc.raises
-    | None -> ());
+          r.Exc.raises)
+      exc;
     exit 0
   end;
   let diags =
-    let l = if base then Lint.lint_paths files else [] in
-    let u = if !units || !only_units then Units.check_paths files else [] in
-    let c =
-      if want_race then
-        let raises =
-          match exc_result with Some r -> r.Exc.raises | None -> []
-        in
-        Race.check_paths ~raises files
-      else []
-    in
-    let e =
-      if want_exc then
-        match exc_result with Some r -> r.Exc.diagnostics | None -> []
-      else []
+    let l = if !only = [] then Lint.lint_ir ir else [] in
+    let u = if want "--only-units" then Units.check_ir ir else [] in
+    let c, e =
+      match exc with
+      | None -> ([], [])
+      | Some r ->
+          ( (if want "--only-race" then Race.check_ir ~raises:r.Exc.raises ir
+             else []),
+            if want "--only-exc" then r.Exc.diagnostics else [] )
     in
     Lint.sort_diagnostics (l @ u @ c @ e)
   in

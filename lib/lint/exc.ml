@@ -19,7 +19,7 @@
 
    Pass 2 seeds each summary's may-raise effect set from its local
    sites and the latent-exception table (partial stdlib calls), then
-   runs a monotone fixpoint over the call graph: a callee's effects
+   runs Lint_ir.fixpoint over the call graph: a callee's effects
    flow through each call edge filtered by the handler frames active
    at the edge. Witness chains ("M.n -> raise Foo at file:l:c") are
    kept per exception. Two sets are computed: the full inferred
@@ -28,7 +28,7 @@
    documents (E1 only reports undocumented escapes).
 
    Pass 3 emits E1-E5. Everything lands in one list sorted through
-   Lint.sort_diagnostics; summaries are processed in sorted-source
+   Lint_ir.sort_diagnostics; summaries are processed in sorted-source
    order, so the report is identical under any file-visit order.
 
    Deliberate trust boundaries (see DESIGN.md section 5k): array /
@@ -39,65 +39,8 @@
    not added to effect sets. *)
 
 open Parsetree
+open Lint_ir
 module SS = Set.Make (String)
-
-(* ------------------------------------------------------------------ *)
-(* Small syntactic helpers (shared shape with race.ml)                  *)
-
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
-
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-              acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
-
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, e) -> match lbl with Asttypes.Nolabel -> Some e | _ -> None)
-    args
-
-let rec strip_constraint e =
-  match e.pexp_desc with
-  | Pexp_constraint (e', _) | Pexp_newtype (_, e') -> strip_constraint e'
-  | _ -> e
 
 (* ------------------------------------------------------------------ *)
 (* Latent-exception alphabet                                            *)
@@ -176,7 +119,7 @@ type bracket = {
   mutable b_safe : bool;  (* release guaranteed on unwind (Fun.protect) *)
 }
 
-type skind = S_exn of string | S_call of string * string
+type skind = S_exn of string | S_call of (string * string)
 
 type site = {
   s_kind : skind;
@@ -205,111 +148,65 @@ type contract = {
   co_key : string * string;
   co_exns : SS.t;
   co_file : string;
-  co_line : int;
-  co_col : int;
+  co_loc : Location.t;
 }
 
 type global = {
-  defs : (string * string, info) Hashtbl.t;
-  mutable infos : info list;  (* reverse insertion order until finalize *)
+  defs : info defs;
   mutable roots : info list;
   exndecls : (string * string, unit) Hashtbl.t;
   contracts : (string * string, contract) Hashtbl.t;
-  mutable contract_list : contract list;
   mutable next_uid : int;
-  mutable diags : Lint.diagnostic list;
-}
-
-type fctx = {
-  f_path : string;
-  f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
+  mutable diags : diagnostic list;
 }
 
 type ctx = {
   glob : global;
-  fc : fctx;
+  fc : file;
   info : info;
   defname : string;
   catch_all_ok : bool;  (* [@cts.catch_all_ok "reason"] in scope *)
   partial_ok : bool;  (* [@cts.partial_ok] in scope *)
 }
 
-let diag_at glob file (loc : Location.t) rule message =
-  let p = loc.Location.loc_start in
-  glob.diags <-
-    {
-      Lint.rule;
-      file;
-      line = p.Lexing.pos_lnum;
-      col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-      message;
-    }
-    :: glob.diags
+let emit glob d = glob.diags <- d :: glob.diags
 
-let get_def glob key file modname name loc ~public ~task =
-  match Hashtbl.find_opt glob.defs key with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          i_file = file;
-          i_mod = modname;
-          i_name = name;
-          i_loc = loc;
-          i_public = public;
-          i_task = task;
-          i_sites = [];
-          i_partials = [];
-          i_eff = [];
-          i_undecl = [];
-        }
-      in
-      Hashtbl.replace glob.defs key i;
-      glob.infos <- i :: glob.infos;
-      i
+(* The summary of [name] in the current file, created on first use. *)
+let get_def ?(public = false) ?task glob (fc : file) name loc =
+  def glob.defs (fc.modname, name) (fun () ->
+      {
+        i_file = fc.path;
+        i_mod = fc.modname;
+        i_name = name;
+        i_loc = loc;
+        i_public = public;
+        i_task = task;
+        i_sites = [];
+        i_partials = [];
+        i_eff = [];
+        i_undecl = [];
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Environment and proven-shape facts                                   *)
-
-module Env = Map.Make (String)
 
 (* KFn (Some key): a let-bound local function summarized as its own
    child definition under [key]; references become call edges to it. *)
 type kind = KFn of string option | KVal
 
-let bind_vals env p =
-  List.fold_left (fun e v -> Env.add v KVal e) env (pattern_vars p)
-
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
+let bind_vals = bind KVal
 
 let qualify ctx (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [ x ] ->
-      if Hashtbl.mem ctx.glob.exndecls (ctx.fc.f_mod, x) then
-        ctx.fc.f_mod ^ "." ^ x
-      else x
-  | segs -> (
-      match List.rev segs with
-      | n :: m :: _ -> resolve_alias ctx.fc m ^ "." ^ n
-      | [ n ] -> n
-      | [] -> "<anon>")
+  match (lid, ref_key ctx.fc (Longident.flatten lid)) with
+  | _, Some (m, n) -> m ^ "." ^ n
+  | Longident.Lident x, None
+    when Hashtbl.mem ctx.glob.exndecls (ctx.fc.modname, x) ->
+      ctx.fc.modname ^ "." ^ x
+  | _ -> Longident.last lid
 
 (* Resolved identity of a mutex expression (coarse, as in race.ml). *)
-let rec res_id ctx env e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match List.rev (Longident.flatten txt) with
-      | [ x ] -> if Env.mem x env then x else ctx.fc.f_mod ^ "." ^ x
-      | x :: m :: _ -> resolve_alias ctx.fc m ^ "." ^ x
-      | [] -> "<anon>")
-  | Pexp_field (_, { txt; _ }) -> (
-      match List.rev (Longident.flatten txt) with
-      | f :: _ -> "<." ^ f ^ ">"
-      | [] -> "<anon>")
-  | Pexp_constraint (e', _) -> res_id ctx env e'
-  | _ -> "<anon>"
+let res_id ctx env =
+  resource_id ctx.fc ~local:(fun x -> if Env.mem x env then Some x else None)
 
 (* Can a dominating check have proven this argument non-empty/Some? *)
 let rec proven_expr prov e =
@@ -319,15 +216,13 @@ let rec proven_expr prov e =
   | Pexp_constraint (e', _) -> proven_expr prov e'
   | _ -> false
 
-let is_nil e =
+let is_constant c e =
   match (strip_constraint e).pexp_desc with
-  | Pexp_construct ({ txt = Longident.Lident "[]"; _ }, None) -> true
+  | Pexp_construct ({ txt = Longident.Lident c'; _ }, None) -> c' = c
   | _ -> false
 
-let is_none e =
-  match (strip_constraint e).pexp_desc with
-  | Pexp_construct ({ txt = Longident.Lident "None"; _ }, None) -> true
-  | _ -> false
+let is_nil = is_constant "[]"
+let is_none = is_constant "None"
 
 let var_of e =
   match (strip_constraint e).pexp_desc with
@@ -350,66 +245,53 @@ let length_var e =
   | _ -> None
 
 (* (then-branch facts, else-branch facts) a condition establishes. *)
+let no_facts = (SS.empty, SS.empty)
+let swap (t, e) = (e, t)
+
+let proves_then v =
+  Option.fold v ~none:no_facts ~some:(fun v -> (SS.singleton v, SS.empty))
+
+let proves_else v = swap (proves_then v)
+
+(* The variable a comparison tests against [] or None, on either side. *)
+let emptiness_var a b =
+  if is_nil b || is_none b then var_of a
+  else if is_nil a || is_none a then var_of b
+  else None
+
 let rec facts_of_cond c : SS.t * SS.t =
   match (strip_constraint c).pexp_desc with
   | Pexp_apply (f, [ (_, a); (_, b) ]) -> (
       match apply_head f with
-      | Some [ "<>" ] -> (
-          match
-            if is_nil b || is_none b then var_of a
-            else if is_nil a || is_none a then var_of b
-            else None
-          with
-          | Some v -> (SS.singleton v, SS.empty)
-          | None -> (
-              match
+      | Some [ "<>" ] ->
+          proves_then
+            (match emptiness_var a b with
+            | None ->
                 if is_zero b then length_var a
                 else if is_zero a then length_var b
                 else None
-              with
-              | Some v -> (SS.singleton v, SS.empty)
-              | None -> (SS.empty, SS.empty)))
-      | Some [ "=" ] -> (
-          match
-            if is_nil b || is_none b then var_of a
-            else if is_nil a || is_none a then var_of b
-            else None
-          with
-          | Some v -> (SS.empty, SS.singleton v)
-          | None -> (SS.empty, SS.empty))
-      | Some [ ">" ] -> (
-          match if is_zero b then length_var a else None with
-          | Some v -> (SS.singleton v, SS.empty)
-          | None -> (SS.empty, SS.empty))
+            | v -> v)
+      | Some [ "=" ] -> proves_else (emptiness_var a b)
+      | Some [ ">" ] -> proves_then (if is_zero b then length_var a else None)
       | Some [ "&&" ] ->
           let ta, _ = facts_of_cond a and tb, _ = facts_of_cond b in
           (SS.union ta tb, SS.empty)
       | Some [ "||" ] ->
           let _, ea = facts_of_cond a and _, eb = facts_of_cond b in
           (SS.empty, SS.union ea eb)
-      | _ -> (SS.empty, SS.empty))
+      | _ -> no_facts)
   | Pexp_apply (f, [ (_, a) ]) -> (
       match apply_head f with
-      | Some [ "not" ] ->
-          let t, e = facts_of_cond a in
-          (e, t)
-      | Some [ "Option"; "is_some" ] -> (
-          match var_of a with
-          | Some v -> (SS.singleton v, SS.empty)
-          | None -> (SS.empty, SS.empty))
-      | Some [ "Option"; "is_none" ] -> (
-          match var_of a with
-          | Some v -> (SS.empty, SS.singleton v)
-          | None -> (SS.empty, SS.empty))
-      | Some [ ("Queue" | "Stack"); "is_empty" ] -> (
+      | Some [ "not" ] -> swap (facts_of_cond a)
+      | Some [ "Option"; "is_some" ] -> proves_then (var_of a)
+      | Some [ "Option"; "is_none" ] -> proves_else (var_of a)
+      | Some [ ("Queue" | "Stack"); "is_empty" ] ->
           (* [while not (Queue.is_empty q) do Queue.pop q ... done] is
              the canonical worklist loop: the else/negated branch
              proves the container non-empty. *)
-          match var_of a with
-          | Some v -> (SS.empty, SS.singleton v)
-          | None -> (SS.empty, SS.empty))
-      | _ -> (SS.empty, SS.empty))
-  | _ -> (SS.empty, SS.empty)
+          proves_else (var_of a)
+      | _ -> no_facts)
+  | _ -> no_facts
 
 let rec definitely_raises e =
   match e.pexp_desc with
@@ -437,12 +319,8 @@ let flags_of_attrs ctx (attrs : attributes) =
       | _ -> ctx)
     ctx attrs
 
-let has_catch_all_ok (attrs : attributes) =
-  List.exists
-    (fun (a : attribute) ->
-      a.attr_name.Location.txt = "cts.catch_all_ok"
-      && Option.is_some (string_payload a.attr_payload))
-    attrs
+let has_catch_all_ok attrs =
+  Option.is_some (string_attr "cts.catch_all_ok" attrs)
 
 let parse_contract s =
   SS.of_list
@@ -450,29 +328,20 @@ let parse_contract s =
        (fun t -> t <> "")
        (List.map String.trim (String.split_on_char ',' s)))
 
-let add_contract glob key file (loc : Location.t) exns =
-  let p = loc.Location.loc_start in
-  let co =
-    {
-      co_key = key;
-      co_exns = exns;
-      co_file = file;
-      co_line = p.Lexing.pos_lnum;
-      co_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-    }
-  in
-  (match Hashtbl.find_opt glob.contracts key with
-  | Some old ->
-      glob.contract_list <-
-        List.filter (fun c -> c != old) glob.contract_list
-  | None -> ());
-  Hashtbl.replace glob.contracts key co;
-  glob.contract_list <- co :: glob.contract_list
+let add_contract glob key file loc exns =
+  Hashtbl.replace glob.contracts key
+    { co_key = key; co_exns = exns; co_file = file; co_loc = loc }
 
 let contract_exns glob key =
   match Hashtbl.find_opt glob.contracts key with
   | Some c -> c.co_exns
   | None -> SS.empty
+
+(* An ml-level [@cts.raises] contract on a let binding. *)
+let add_raises_contract glob key file loc attrs =
+  Option.iter
+    (fun s -> add_contract glob key file loc (parse_contract s))
+    (string_attr "cts.raises" attrs)
 
 (* Contract entries are matched leniently (exn_matches): a contract
    inside the defining module may spell [Check_failed] for what the
@@ -498,17 +367,15 @@ let add_call ctx hs brks (m, n) loc =
   add_site ctx hs brks (S_call (m, n)) "call" loc
 
 let note_ref ctx env hs brks (lid : Longident.t) loc =
-  match Longident.flatten lid with
-  | [ x ] -> (
+  let segs = Longident.flatten lid in
+  match (segs, ref_key ctx.fc segs) with
+  | _, Some edge -> add_call ctx hs brks edge loc
+  | [ x ], None -> (
       match Env.find_opt x env with
       | Some (KFn (Some key)) -> add_call ctx hs brks ("", key) loc
       | Some _ -> ()
       | None -> add_call ctx hs brks ("", x) loc)
-  | _ :: _ :: _ as segs -> (
-      match List.rev segs with
-      | n :: m :: _ -> add_call ctx hs brks (resolve_alias ctx.fc m, n) loc
-      | _ -> ())
-  | [] -> ()
+  | _ -> ()
 
 let frame_catches hf x =
   match hf.hf_handled with
@@ -534,49 +401,31 @@ let leaks b x hs =
 (* Bracket ids an expression releases (observer handlers, ~finally). *)
 let released_ids ctx env e =
   let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e' ->
-          (match e'.pexp_desc with
-          | Pexp_apply (f, args) -> (
-              match (apply_head f, nolabel_args args) with
-              | Some segs, m :: _ when dotted segs = "Mutex.unlock" ->
-                  acc := ("lock:" ^ res_id ctx env m) :: !acc
-              | Some [ p ], a :: _ when List.mem p close_prims -> (
-                  match var_of a with
-                  | Some v -> acc := ("chan:" ^ v) :: !acc
-                  | None -> ())
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e');
-    }
-  in
-  it.expr it e;
+  iter_exprs
+    (fun e' ->
+      match e'.pexp_desc with
+      | Pexp_apply (f, args) -> (
+          match (apply_head f, nolabel_args args) with
+          | Some segs, m :: _ when dotted segs = "Mutex.unlock" ->
+              acc := ("lock:" ^ res_id ctx env m) :: !acc
+          | Some [ p ], a :: _ when List.mem p close_prims -> (
+              match var_of a with
+              | Some v -> acc := ("chan:" ^ v) :: !acc
+              | None -> ())
+          | _ -> ())
+      | _ -> ())
+    e;
   !acc
 
-let reraises v e =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e' ->
-          (match e'.pexp_desc with
-          | Pexp_apply (f, args) -> (
-              match (apply_head f, nolabel_args args) with
-              | Some segs, a :: _ when List.mem (dotted segs) raise_prims -> (
-                  match var_of a with
-                  | Some v' when v' = v -> found := true
-                  | _ -> ())
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e');
-    }
-  in
-  it.expr it e;
-  !found
+let reraises v =
+  exists_expr (fun e ->
+      match e.pexp_desc with
+      | Pexp_apply (f, args) -> (
+          match (apply_head f, nolabel_args args) with
+          | Some segs, a :: _ when List.mem (dotted segs) raise_prims ->
+              var_of a = Some v
+          | _ -> false)
+      | _ -> false)
 
 let open_bracket ctx brks id desc (loc : Location.t) =
   ctx.glob.next_uid <- ctx.glob.next_uid + 1;
@@ -640,7 +489,7 @@ let classify_handlers ctx env brks cases =
               if
                 not (ctx.catch_all_ok || has_catch_all_ok rhs.pexp_attributes)
               then
-                diag_at ctx.glob ctx.fc.f_path pat.ppat_loc "E4"
+                emit ctx.glob @@ diag_at "E4" ctx.fc.path pat.ppat_loc
                   "catch-all handler swallows every exception \
                    (Out_of_memory and Stack_overflow included); enumerate \
                    the expected exceptions or annotate [@cts.catch_all_ok \
@@ -671,15 +520,9 @@ let rec walk ctx env prov hs brks e : bracket list =
       (* A lambda in a non-applied position: its body becomes a latent
          child summary with no inbound edge — effects do not leak into
          the enclosing definition until something references it. *)
-      let p = e.pexp_loc.Location.loc_start in
-      let name =
-        Printf.sprintf "%s.<fn@%d:%d>" ctx.defname p.Lexing.pos_lnum
-          (p.Lexing.pos_cnum - p.Lexing.pos_bol)
-      in
-      let ci =
-        get_def ctx.glob (ctx.fc.f_mod, name) ctx.fc.f_path ctx.fc.f_mod name
-          e.pexp_loc ~public:false ~task:None
-      in
+      let line, col = line_col e.pexp_loc in
+      let name = Printf.sprintf "%s.<fn@%d:%d>" ctx.defname line col in
+      let ci = get_def ctx.glob ctx.fc name e.pexp_loc in
       do_body { ctx with info = ci; defname = name } env e;
       brks
   | Pexp_try (body, cases) ->
@@ -688,14 +531,7 @@ let rec walk ctx env prov hs brks e : bracket list =
           (List.map (fun c -> (c.pc_lhs, c.pc_guard, c.pc_rhs)) cases)
       in
       let brks' = walk ctx env prov (frame :: hs) brks body in
-      List.iter
-        (fun c ->
-          let env' = bind_vals env c.pc_lhs in
-          Option.iter
-            (fun g -> ignore (walk ctx env' prov hs brks g))
-            c.pc_guard;
-          ignore (walk ctx env' prov hs brks c.pc_rhs))
-        cases;
+      List.iter (walk_case bind_vals (walker ctx prov hs brks) env) cases;
       brks'
   | Pexp_match (scrut, cases) ->
       let is_exn_case c =
@@ -718,19 +554,16 @@ let rec walk ctx env prov hs brks e : bracket list =
       in
       (* Shape proving: a match with an explicit []/None case proves
          the scrutinee in every other case. *)
+      let is_empty c =
+        match c.pc_lhs.ppat_desc with
+        | Ppat_construct ({ txt = Longident.Lident ("[]" | "None"); _ }, None)
+          ->
+            true
+        | _ -> false
+      in
       let proved_var =
         match var_of scrut with
-        | Some v
-          when List.exists
-                 (fun c ->
-                   match c.pc_lhs.ppat_desc with
-                   | Ppat_construct
-                       ({ txt = Longident.Lident ("[]" | "None"); _ }, None)
-                     ->
-                       true
-                   | _ -> false)
-                 val_cases ->
-            Some v
+        | Some v when List.exists is_empty val_cases -> Some v
         | _ -> None
       in
       List.iter
@@ -738,15 +571,7 @@ let rec walk ctx env prov hs brks e : bracket list =
           let env' = bind_vals env c.pc_lhs in
           let prov' =
             match proved_var with
-            | Some v
-              when not
-                     (match c.pc_lhs.ppat_desc with
-                     | Ppat_construct
-                         ({ txt = Longident.Lident ("[]" | "None"); _ }, None)
-                       ->
-                         true
-                     | _ -> false) ->
-                SS.add v prov
+            | Some v when not (is_empty c) -> SS.add v prov
             | _ -> prov
           in
           Option.iter
@@ -754,14 +579,7 @@ let rec walk ctx env prov hs brks e : bracket list =
             c.pc_guard;
           ignore (walk ctx env' prov' hs brks' c.pc_rhs))
         val_cases;
-      List.iter
-        (fun c ->
-          let env' = bind_vals env c.pc_lhs in
-          Option.iter
-            (fun g -> ignore (walk ctx env' prov hs brks g))
-            c.pc_guard;
-          ignore (walk ctx env' prov hs brks c.pc_rhs))
-        exn_cases;
+      List.iter (walk_case bind_vals (walker ctx prov hs brks) env) exn_cases;
       brks'
   | Pexp_ifthenelse (c, a, b) ->
       let brks' = walk ctx env prov hs brks c in
@@ -797,81 +615,40 @@ let rec walk ctx env prov hs brks e : bracket list =
       ignore (walk ctx (bind_vals env pat) prov hs brks' body);
       brks'
   | _ ->
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e' -> ignore (walk ctx env prov hs brks e'));
-          case =
-            (fun _ c ->
-              let env = bind_vals env c.pc_lhs in
-              Option.iter
-                (fun g -> ignore (walk ctx env prov hs brks g))
-                c.pc_guard;
-              ignore (walk ctx env prov hs brks c.pc_rhs));
-          attributes = (fun _ _ -> ());
-          pat = (fun _ _ -> ());
-          typ = (fun _ _ -> ());
-        }
-      in
-      Ast_iterator.default_iterator.expr it e;
+      walk_children bind_vals (walker ctx prov hs brks) env e;
       brks
 
-(* Walk a definition body: peel the leading parameter chain (those
-   lambdas ARE the definition — calling it applies them), then walk. *)
-and do_body ctx env e =
+(* [walk] for a visit that discards the bracket state. *)
+and walker ctx prov hs brks env e = ignore (walk ctx env prov hs brks e)
+
+(* Walk a lambda's parameter chain, then its body. A definition body
+   (those lambdas ARE the definition — calling it applies them) starts
+   from empty frames and brackets and also peels constraints; a lambda
+   argument of an ordinary application (the HOF applies it) walks
+   inline under the current frames and brackets. *)
+and walk_lambda ~definition ctx env prov hs brks e =
   let ctx = flags_of_attrs ctx e.pexp_attributes in
   match e.pexp_desc with
   | Pexp_fun (_, default, pat, body) ->
-      Option.iter
-        (fun d -> ignore (walk ctx env SS.empty [] [] d))
-        default;
-      do_body ctx (bind_vals env pat) body
+      Option.iter (walker ctx prov hs brks env) default;
+      walk_lambda ~definition ctx (bind_vals env pat) prov hs brks body
   | Pexp_function cases ->
-      List.iter
-        (fun c ->
-          let env' = bind_vals env c.pc_lhs in
-          Option.iter
-            (fun g -> ignore (walk ctx env' SS.empty [] [] g))
-            c.pc_guard;
-          ignore (walk ctx env' SS.empty [] [] c.pc_rhs))
-        cases
-  | Pexp_constraint (e', _) | Pexp_newtype (_, e') -> do_body ctx env e'
-  | _ -> ignore (walk ctx env SS.empty [] [] e)
+      List.iter (walk_case bind_vals (walker ctx prov hs brks) env) cases
+  | (Pexp_constraint (e', _) | Pexp_newtype (_, e')) when definition ->
+      walk_lambda ~definition ctx env prov hs brks e'
+  | _ -> walker ctx prov hs brks env e
 
-(* A lambda argument of an ordinary application: the HOF applies it,
-   so its body walks inline under the current frames and brackets. *)
-and walk_lambda_inline ctx env prov hs brks a =
-  let ctx = flags_of_attrs ctx a.pexp_attributes in
-  match a.pexp_desc with
-  | Pexp_fun (_, default, pat, body) ->
-      Option.iter (fun d -> ignore (walk ctx env prov hs brks d)) default;
-      walk_lambda_inline ctx (bind_vals env pat) prov hs brks body
-  | Pexp_function cases ->
-      List.iter
-        (fun c ->
-          let env' = bind_vals env c.pc_lhs in
-          Option.iter
-            (fun g -> ignore (walk ctx env' prov hs brks g))
-            c.pc_guard;
-          ignore (walk ctx env' prov hs brks c.pc_rhs))
-        cases
-  | _ -> ignore (walk ctx env prov hs brks a)
+and do_body ctx env e = walk_lambda ~definition:true ctx env SS.empty [] [] e
 
 (* A deferred task closure: fresh root summary (empty frames/brackets
    — a task never inherits its submitter's handlers), plus an edge
    from the submitter to the root because Parallel.map re-raises the
    first task exception on the coordinator. *)
 and walk_closure_as_root ctx env hs brks task a =
-  let p = a.pexp_loc.Location.loc_start in
-  let name =
-    Printf.sprintf "<task@%d:%d>" p.Lexing.pos_lnum
-      (p.Lexing.pos_cnum - p.Lexing.pos_bol)
-  in
-  let fresh = not (Hashtbl.mem ctx.glob.defs (ctx.fc.f_mod, name)) in
-  let ri =
-    get_def ctx.glob (ctx.fc.f_mod, name) ctx.fc.f_path ctx.fc.f_mod name
-      a.pexp_loc ~public:false ~task:(Some task)
-  in
+  let line, col = line_col a.pexp_loc in
+  let name = Printf.sprintf "<task@%d:%d>" line col in
+  let fresh = find_def ctx.glob.defs (ctx.fc.modname, name) = None in
+  let ri = get_def ~task ctx.glob ctx.fc name a.pexp_loc in
   if fresh then ctx.glob.roots <- ri :: ctx.glob.roots;
   let rctx = { ctx with info = ri; defname = name } in
   (match a.pexp_desc with
@@ -910,22 +687,9 @@ and walk_let ctx env prov hs brks rf vbs body =
             (* Local function: its own child summary, walked with empty
                frames and brackets — applied later, the call edge
                carries the application-site context. *)
-            let ci =
-              get_def ctx.glob (ctx.fc.f_mod, key) ctx.fc.f_path ctx.fc.f_mod
-                key vb.pvb_loc ~public:false ~task:None
-            in
-            (match
-               List.find_map
-                 (fun (a : attribute) ->
-                   if a.attr_name.Location.txt = "cts.raises" then
-                     string_payload a.attr_payload
-                   else None)
-                 vb.pvb_attributes
-             with
-            | Some s ->
-                add_contract ctx.glob (ctx.fc.f_mod, key) ctx.fc.f_path
-                  vb.pvb_loc (parse_contract s)
-            | None -> ());
+            let ci = get_def ctx.glob ctx.fc key vb.pvb_loc in
+            add_raises_contract ctx.glob (ctx.fc.modname, key) ctx.fc.path
+              vb.pvb_loc vb.pvb_attributes;
             let cctx =
               flags_of_attrs
                 { ctx with info = ci; defname = key }
@@ -995,7 +759,7 @@ and walk_apply ctx env prov hs brks e f args =
       | "Mutex.protect", m :: rest ->
           (* The blessed exception-safe lock form: no bracket. *)
           ignore (walk ctx env prov hs brks m);
-          List.iter (walk_lambda_inline ctx env prov hs brks) rest;
+          List.iter (walk_lambda ~definition:false ctx env prov hs brks) rest;
           brks
       | "Fun.protect", _ ->
           (* ~finally guarantees release on unwind: mark the brackets
@@ -1012,44 +776,25 @@ and walk_apply ctx env prov hs brks e f args =
             (fun b -> if List.mem b.b_id released then b.b_safe <- true)
             brks;
           List.iter
-            (fun (_, a) -> walk_lambda_inline ctx env prov hs brks a)
+            (fun (_, a) -> walk_lambda ~definition:false ctx env prov hs brks a)
             args;
           List.fold_left close_bracket brks released
       | p, a :: _ when List.mem p close_prims -> (
           match var_of a with
           | Some v -> close_bracket brks ("chan:" ^ v)
           | None -> brks)
-      | ("Domain.spawn" | "Domain.Spawn.spawn"), args' ->
+      | _, args' when task_of ctx.fc segs = Some Spawn ->
           List.iter
             (walk_closure_as_root ctx env hs brks "Domain.spawn")
             args';
           brks
       | _ ->
-          let is_pool =
-            match segs with
-            | [ m; ("map" | "iter") ] -> resolve_alias ctx.fc m = "Parallel"
-            | _ -> false
-          in
-          if is_pool then begin
-            List.iteri
-              (fun i a ->
-                if i = 0 then ignore (walk ctx env prov hs brks a)
-                else
-                  match a.pexp_desc with
-                  | Pexp_fun _ | Pexp_function _ | Pexp_ident _ ->
-                      walk_closure_as_root ctx env hs brks
-                        (d ^ " at line "
-                        ^ string_of_int
-                            e.pexp_loc.Location.loc_start.Lexing.pos_lnum)
-                        a
-                  | _ -> ignore (walk ctx env prov hs brks a))
-              pos;
-            List.iter
-              (fun (lbl, a) ->
-                match lbl with
-                | Asttypes.Nolabel -> ()
-                | _ -> ignore (walk ctx env prov hs brks a))
-              args;
+          if task_of ctx.fc segs = Some Pool then begin
+            let line, _ = line_col e.pexp_loc in
+            let task = Printf.sprintf "%s at line %d" d line in
+            iter_pool_args args
+              ~closure:(walk_closure_as_root ctx env hs brks task)
+              ~other:(walker ctx prov hs brks env);
             brks
           end
           else begin
@@ -1078,7 +823,7 @@ and walk_apply ctx env prov hs brks e f args =
               (fun b (_, a) ->
                 match a.pexp_desc with
                 | Pexp_fun _ | Pexp_function _ ->
-                    walk_lambda_inline ctx env prov hs b a;
+                    walk_lambda ~definition:false ctx env prov hs b a;
                     b
                 | _ -> walk ctx env prov hs b a)
               brks args
@@ -1087,93 +832,44 @@ and walk_apply ctx env prov hs brks e f args =
 (* ------------------------------------------------------------------ *)
 (* Structure / signature passes                                         *)
 
-(* Pre-pass: locally declared exceptions (for qualification) and
-   module aliases. *)
-let classify_toplevel glob fc (str : structure) =
+(* Pre-pass: locally declared exceptions (for qualification). *)
+let classify_toplevel glob (fc : file) (str : structure) =
   List.iter
     (fun item ->
       match item.pstr_desc with
       | Pstr_exception te ->
           Hashtbl.replace glob.exndecls
-            (fc.f_mod, te.ptyexn_constructor.pext_name.Location.txt)
+            (fc.modname, te.ptyexn_constructor.pext_name.Location.txt)
             ()
-      | Pstr_module mb -> (
-          match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
-          | _ -> ())
       | _ -> ())
     str
 
-let do_structure glob fc (str : structure) =
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | _ ->
-                    Printf.sprintf "_top_%d"
-                      item.pstr_loc.Location.loc_start.Lexing.pos_lnum
-              in
-              (match
-                 List.find_map
-                   (fun (a : attribute) ->
-                     if a.attr_name.Location.txt = "cts.raises" then
-                       string_payload a.attr_payload
-                     else None)
-                   vb.pvb_attributes
-               with
-              | Some s ->
-                  add_contract glob (fc.f_mod, name) fc.f_path vb.pvb_loc
-                    (parse_contract s)
-              | None -> ());
-              let info =
-                get_def glob (fc.f_mod, name) fc.f_path fc.f_mod name
-                  vb.pvb_loc ~public:true ~task:None
-              in
-              let ctx =
-                {
-                  glob;
-                  fc;
-                  info;
-                  defname = name;
-                  catch_all_ok = false;
-                  partial_ok = false;
-                }
-              in
-              let ctx = flags_of_attrs ctx vb.pvb_attributes in
-              do_body ctx Env.empty vb.pvb_expr)
-            vbs
-      | Pstr_eval (e, attrs) ->
-          let info =
-            get_def glob (fc.f_mod, "_eval") fc.f_path fc.f_mod "_eval"
-              item.pstr_loc ~public:true ~task:None
-          in
-          let ctx =
-            {
-              glob;
-              fc;
-              info;
-              defname = "_eval";
-              catch_all_ok = false;
-              partial_ok = false;
-            }
-          in
-          let ctx = flags_of_attrs ctx attrs in
-          ignore (walk ctx Env.empty SS.empty [] [] e)
-      | _ -> ())
+let do_structure glob (fc : file) (str : structure) =
+  iter_bindings
+    (fun b ->
+      if Option.is_some b.vb then
+        add_raises_contract glob (fc.modname, b.name) fc.path b.loc b.attrs;
+      let info = get_def ~public:true glob fc b.name b.loc in
+      let ctx =
+        {
+          glob;
+          fc;
+          info;
+          defname = b.name;
+          catch_all_ok = false;
+          partial_ok = false;
+        }
+      in
+      let ctx = flags_of_attrs ctx b.attrs in
+      match b.vb with
+      | Some _ -> do_body ctx Env.empty b.expr
+      | None -> ignore (walk ctx Env.empty SS.empty [] [] b.expr))
     str
 
 (* Contracts from mli signatures ([@@cts.raises "Exn1,Exn2"] /
    [@@cts.raises ""] on a val). Top-level values only: the library is
    unwrapped, so (Module, name) keys line up with the ml summaries. *)
-let do_interface glob fc (sg : signature) =
+let do_interface glob (fc : file) (sg : signature) =
   List.iter
     (fun item ->
       match item.psig_desc with
@@ -1184,10 +880,10 @@ let do_interface glob fc (sg : signature) =
                 match string_payload a.attr_payload with
                 | Some s ->
                     add_contract glob
-                      (fc.f_mod, vd.pval_name.Location.txt)
-                      fc.f_path a.attr_loc (parse_contract s)
+                      (fc.modname, vd.pval_name.Location.txt)
+                      fc.path a.attr_loc (parse_contract s)
                 | None ->
-                    diag_at glob fc.f_path a.attr_loc "E2"
+                    emit glob @@ diag_at "E2" fc.path a.attr_loc
                       "malformed [@cts.raises] payload: expected a string \
                        of comma-separated exception names (\"\" for total)")
             vd.pval_attributes
@@ -1198,11 +894,10 @@ let do_interface glob fc (sg : signature) =
 (* Pass 2: effect seeding and fixpoint                                  *)
 
 let wit_of info (s : site) =
-  let p = s.s_loc.Location.loc_start in
-  Printf.sprintf "%s at %s:%d:%d" s.s_what info.i_file p.Lexing.pos_lnum
-    (p.Lexing.pos_cnum - p.Lexing.pos_bol)
+  let line, col = line_col s.s_loc in
+  Printf.sprintf "%s at %s:%d:%d" s.s_what info.i_file line col
 
-let seed_effects glob =
+let seed_effects glob infos =
   List.iter
     (fun info ->
       let co = contract_exns glob (info.i_mod, info.i_name) in
@@ -1218,92 +913,60 @@ let seed_effects glob =
               then info.i_undecl <- info.i_undecl @ [ (x, w) ]
           | _ -> ())
         info.i_sites)
-    glob.infos
+    infos
 
-let fixpoint glob =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun info ->
-        let co = contract_exns glob (info.i_mod, info.i_name) in
-        List.iter
-          (fun s ->
-            match s.s_kind with
-            | S_call (m, n) -> (
-                let m = if m = "" then info.i_mod else m in
-                match Hashtbl.find_opt glob.defs (m, n) with
-                | Some callee when callee != info ->
-                    let chain w = Printf.sprintf "%s.%s -> %s" m n w in
-                    List.iter
-                      (fun (x, w) ->
-                        if
-                          (not (absorbed s.s_hsnap x))
-                          && not (List.mem_assoc x info.i_eff)
-                        then begin
-                          info.i_eff <- info.i_eff @ [ (x, chain w) ];
-                          changed := true
-                        end)
-                      callee.i_eff;
-                    List.iter
-                      (fun (x, w) ->
-                        if
-                          (not (absorbed s.s_hsnap x))
-                          && (not (in_contract co x))
-                          && not (List.mem_assoc x info.i_undecl)
-                        then begin
-                          info.i_undecl <- info.i_undecl @ [ (x, chain w) ];
-                          changed := true
-                        end)
-                      callee.i_undecl
-                | _ -> ())
-            | _ -> ())
-          info.i_sites)
-      glob.infos
-  done
+let modname i = i.i_mod
 
-let task_reachable glob =
-  let visited : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let reached = ref [] in
-  let queue = Queue.create () in
-  List.iter (fun r -> Queue.add r queue) glob.roots;
-  while not (Queue.is_empty queue) do
-    let info = Queue.pop queue in
-    reached := info :: !reached;
-    List.iter
-      (fun s ->
-        match s.s_kind with
-        | S_call (m, n) -> (
-            let key = ((if m = "" then info.i_mod else m), n) in
-            if not (Hashtbl.mem visited key) then begin
-              Hashtbl.replace visited key ();
-              match Hashtbl.find_opt glob.defs key with
-              | Some i -> Queue.add i queue
-              | None -> ()
-            end)
-        | _ -> ())
-      info.i_sites
-  done;
-  !reached
+let edges i =
+  List.filter_map
+    (fun s -> match s.s_kind with S_call e -> Some (e, s) | S_exn _ -> None)
+    i.i_sites
+
+(* A callee's effects flow through a call site, filtered by the
+   handler frames active there; the caller's own contract subtracts
+   from its undeclared set. *)
+let transfer glob info key s callee =
+  let co = contract_exns glob (info.i_mod, info.i_name) in
+  let changed = ref false in
+  List.iter
+    (fun (x, w) ->
+      if (not (absorbed s.s_hsnap x)) && not (List.mem_assoc x info.i_eff)
+      then begin
+        info.i_eff <- info.i_eff @ [ (x, chain key w) ];
+        changed := true
+      end)
+    callee.i_eff;
+  List.iter
+    (fun (x, w) ->
+      if
+        (not (absorbed s.s_hsnap x))
+        && (not (in_contract co x))
+        && not (List.mem_assoc x info.i_undecl)
+      then begin
+        info.i_undecl <- info.i_undecl @ [ (x, chain key w) ];
+        changed := true
+      end)
+    callee.i_undecl;
+  !changed
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: diagnostics                                                  *)
 
 (* E1: an undeclared exception escapes a task closure. *)
-let report_e1 glob =
+let report_e1 glob roots =
   List.iter
     (fun root ->
       let task = match root.i_task with Some t -> t | None -> "task" in
       List.iter
         (fun (x, w) ->
-          diag_at glob root.i_file root.i_loc "E1"
+          emit glob @@ diag_at "E1" root.i_file root.i_loc
             (Printf.sprintf
                "exception %s may escape this %s task closure (%s): a \
                 raising task poisons the pool; catch it inside the task or \
                 declare it in the provider's [@cts.raises] mli contract"
                x task w))
         root.i_undecl)
-    glob.roots
+    roots
 
 (* E2: contract verification — violated and stale directions. *)
 let report_e2 glob =
@@ -1311,25 +974,17 @@ let report_e2 glob =
     List.sort
       (fun a b ->
         compare
-          (a.co_file, a.co_line, a.co_col, a.co_key)
-          (b.co_file, b.co_line, b.co_col, b.co_key))
-      glob.contract_list
+          (a.co_file, line_col a.co_loc, a.co_key)
+          (b.co_file, line_col b.co_loc, b.co_key))
+      (Hashtbl.fold (fun _ co acc -> co :: acc) glob.contracts [])
   in
   List.iter
     (fun co ->
-      match Hashtbl.find_opt glob.defs co.co_key with
+      match find_def glob.defs co.co_key with
       | None -> ()
       | Some info ->
-          let d msg =
-            glob.diags <-
-              {
-                Lint.rule = "E2";
-                file = co.co_file;
-                line = co.co_line;
-                col = co.co_col;
-                message = msg;
-              }
-              :: glob.diags
+          let d message =
+            emit glob (diag_at "E2" co.co_file co.co_loc message)
           in
           let m, n = co.co_key in
           List.iter
@@ -1355,7 +1010,7 @@ let report_e2 glob =
     contracts
 
 (* E3: a raising path between acquire and release. *)
-let report_e3 glob =
+let report_e3 glob infos =
   List.iter
     (fun info ->
       List.iter
@@ -1368,24 +1023,23 @@ let report_e3 glob =
                   else x
                 in
                 [ (x, Printf.sprintf "%s may raise %s" s.s_what what) ]
-            | S_call (m, n) -> (
-                let m = if m = "" then info.i_mod else m in
-                match Hashtbl.find_opt glob.defs (m, n) with
-                | Some callee ->
+            | S_call edge -> (
+                match callee glob.defs info.i_mod edge with
+                | (m, n), Some callee ->
                     List.map
                       (fun (x, w) ->
                         ( x,
                           Printf.sprintf "call to %s.%s may raise %s (%s)" m
                             n x w ))
                       callee.i_eff
-                | None -> [])
+                | _, None -> [])
           in
           List.iter
             (fun b ->
               List.iter
                 (fun (x, desc) ->
                   if leaks b x s.s_hsnap then
-                    diag_at glob info.i_file s.s_loc "E3"
+                    emit glob @@ diag_at "E3" info.i_file s.s_loc
                       (Printf.sprintf
                          "%s while %s (opened at line %d) is pending \
                           release: the raising path leaks it; use \
@@ -1395,110 +1049,63 @@ let report_e3 glob =
                 candidates)
             s.s_bsnap)
         info.i_sites)
-    glob.infos
+    infos
 
 (* E5: partial calls on unproven shapes in task-reachable code. *)
-let report_e5 glob reached =
+let report_e5 glob infos reached =
   List.iter
     (fun info ->
       if List.memq info reached then
         List.iter
           (fun (prim, loc) ->
-            diag_at glob info.i_file loc "E5"
+            emit glob @@ diag_at "E5" info.i_file loc
               (Printf.sprintf
                  "partial %s on a value of unproven shape is reachable \
                   from a Parallel/Domain task (via %s.%s); match the shape \
                   explicitly or annotate [@cts.partial_ok]"
                  prim info.i_mod info.i_name))
           info.i_partials)
-    glob.infos
+    infos
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 
 type result = {
-  diagnostics : Lint.diagnostic list;
+  diagnostics : diagnostic list;
   raises : ((string * string) * string list) list;
 }
 
-let parse_with parser path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  parser lexbuf
-
-let syntax_diag glob path exn =
-  let line, col, msg =
-    match Location.error_of_exn exn with
-    | Some (`Ok (err : Location.error)) ->
-        let loc = err.Location.main.Location.loc in
-        let p = loc.Location.loc_start in
-        ( p.Lexing.pos_lnum,
-          p.Lexing.pos_cnum - p.Lexing.pos_bol,
-          Format.asprintf "%t" err.Location.main.Location.txt )
-    | _ -> (1, 0, Printexc.to_string exn)
-  in
-  glob.diags <-
-    { Lint.rule = "syntax"; file = path; line; col; message = msg }
-    :: glob.diags
-
-let analyze_sources sources =
-  let sources = List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources in
-  let pick suffix =
-    List.sort compare
-      (List.filter (fun (p, _) -> Filename.check_suffix p suffix) sources)
-  in
-  let mls = pick ".ml" and mlis = pick ".mli" in
+let analyze_ir ir =
   let glob =
     {
-      defs = Hashtbl.create 256;
-      infos = [];
+      defs = create_defs ();
       roots = [];
       exndecls = Hashtbl.create 32;
       contracts = Hashtbl.create 64;
-      contract_list = [];
       next_uid = 0;
-      diags = [];
+      diags = syntax_errors ~interfaces:true ir;
     }
   in
-  let mk_fc path =
-    { f_path = path; f_mod = module_name_of path; f_aliases = Hashtbl.create 8 }
-  in
-  let[@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"] parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        match parse_with Parse.implementation path contents with
-        | str -> Some (mk_fc path, str)
-        | exception exn ->
-            syntax_diag glob path exn;
-            None)
-      mls
-  in
+  let parsed = implementations ir in
   List.iter (fun (fc, str) -> classify_toplevel glob fc str) parsed;
-  (* mli contracts before the walk so ml-level [@cts.raises] attributes
+  (* mli contracts after the walk so ml-level [@cts.raises] attributes
      never shadow an mli contract's location. *)
   List.iter (fun (fc, str) -> do_structure glob fc str) parsed;
-  List.iter
-    (fun (path, contents) ->
-      match parse_with Parse.interface path contents with
-      | sg -> do_interface glob (mk_fc path) sg
-      | exception exn ->
-          (syntax_diag glob path exn
-          [@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"]))
-    mlis;
-  glob.infos <- List.rev glob.infos;
-  glob.roots <- List.rev glob.roots;
+  List.iter (fun (fc, sg) -> do_interface glob fc sg) (interfaces ir);
+  let infos = nodes glob.defs in
+  let roots = List.rev glob.roots in
   List.iter
     (fun i ->
       i.i_sites <- List.rev i.i_sites;
       i.i_partials <- List.rev i.i_partials)
-    glob.infos;
-  seed_effects glob;
-  fixpoint glob;
-  let reached = task_reachable glob in
-  report_e1 glob;
+    infos;
+  seed_effects glob infos;
+  fixpoint glob.defs ~modname ~edges ~transfer:(transfer glob) infos;
+  let reached = reachable glob.defs ~modname ~edges roots in
+  report_e1 glob roots;
   report_e2 glob;
-  report_e3 glob;
-  report_e5 glob reached;
+  report_e3 glob infos;
+  report_e5 glob infos reached;
   let raises =
     List.sort compare
       (List.filter_map
@@ -1508,18 +1115,11 @@ let analyze_sources sources =
                ( (info.i_mod, info.i_name),
                  List.sort compare (List.map fst info.i_eff) )
            else None)
-         glob.infos)
+         infos)
   in
-  { diagnostics = Lint.sort_diagnostics glob.diags; raises }
+  { diagnostics = sort_diagnostics glob.diags; raises }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let analyze_paths paths =
-  analyze_sources (List.map (fun p -> (p, read_file p)) paths)
-
+let analyze_sources sources = analyze_ir (of_sources sources)
+let analyze_paths paths = analyze_ir (of_paths paths)
 let check_sources sources = (analyze_sources sources).diagnostics
 let check_paths paths = (analyze_paths paths).diagnostics

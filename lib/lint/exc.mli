@@ -3,8 +3,9 @@
     The fourth analysis pillar (after L1–L5, U1–U4, C1–C5): where the
     race analyzer verifies [[@cts.guarded]] claims about concurrency
     effects, this pass verifies [[@cts.raises]] contracts about
-    exception effects. Three passes over the parsetree (no typer),
-    reusing the race analyzer's summary/fixpoint architecture:
+    exception effects. Three passes over the shared parsetree of a
+    {!Lint_ir.t} (no typer), with the race analyzer's summary/fixpoint
+    architecture and the same {!Lint_ir.fixpoint}:
 
     + {b Summaries} — every top-level definition (and every let-bound
       local function, summarized separately so a closure's effects
@@ -80,6 +81,11 @@ type result = {
           two passes use one effect table (see {!Race.check_sources}'s
           [?raises]). *)
 }
+
+val analyze_ir : Lint_ir.t -> result
+(** Analyze parsed sources: [.ml] entries are summarized, [.mli]
+    entries contribute [[@cts.raises]] contracts; ["syntax"]
+    diagnostics of both are included. *)
 
 val analyze_sources : (string * string) list -> result
 (** [analyze_sources [(path, contents); ...]] analyzes in-memory

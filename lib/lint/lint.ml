@@ -1,14 +1,14 @@
 (* Determinism / domain-safety lint. See lint.mli for the rule set.
 
-   The analysis is purely syntactic (compiler-libs parsetree, no
+   The analysis is purely syntactic (the Lint_ir parsetree, no
    typing). Its one non-local part is rule L1: a module-level
    call-graph approximation. Each top-level definition is walked once,
    recording (a) mutation primitives applied to targets that are not
    provably task-local and (b) references that may resolve to other
    top-level definitions. Call sites of [Parallel.map]/[Parallel.iter]
    re-walk their function arguments into separate "root" records; L1
-   then reports every unguarded shared mutation reachable from a root
-   through the recorded edges.
+   then reports every unguarded shared mutation Lint_ir.reachable from
+   a root through the recorded edges.
 
    Locality: a target is task-local when its head identifier is
    let-bound in scope to a syntactically fresh mutable allocation
@@ -18,8 +18,9 @@
    mechanism annotation. *)
 
 open Parsetree
+open Lint_ir
 
-type diagnostic = {
+type diagnostic = Lint_ir.diagnostic = {
   rule : string;
   file : string;
   line : int;
@@ -27,83 +28,13 @@ type diagnostic = {
   message : string;
 }
 
-let to_string d =
-  Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message
-
-(* The documented report order: position first, rule as a tie-break.
-   (Bare polymorphic compare on the record would sort by [rule] first —
-   the field order — interleaving files in the report.) *)
-let compare_diagnostic a b =
-  let c = compare a.file b.file in
-  if c <> 0 then c
-  else
-    let c = compare a.line b.line in
-    if c <> 0 then c
-    else
-      let c = compare a.col b.col in
-      if c <> 0 then c
-      else
-        let c = compare a.rule b.rule in
-        if c <> 0 then c else compare a.message b.message
-
-let sort_diagnostics ds = List.sort_uniq compare_diagnostic ds
+let to_string = Lint_ir.to_string
+let compare_diagnostic = Lint_ir.compare_diagnostic
+let sort_diagnostics = Lint_ir.sort_diagnostics
+let normalize_path = Lint_ir.normalize_path
 
 (* ------------------------------------------------------------------ *)
-(* Paths and rule scopes                                               *)
-
-(* Rule scoping (L2-L5, and the units pass's U-rules) keys off paths
-   relative to the repository root, like "lib/cts_core/cts.ml". When
-   cts_lint is invoked from outside the root, or with "./"-prefixed or
-   absolute arguments, the raw path would defeat every prefix test, so
-   normalization re-roots each path at the last segment naming a known
-   top-level source directory. A path containing none of them (a
-   scratch file in /tmp) is only cleaned of "." and ".." segments. *)
-
-let top_level_dirs = [ "lib"; "bin"; "bench"; "test"; "examples" ]
-
-let normalize_path path =
-  let segs =
-    List.filter
-      (fun s -> s <> "" && s <> ".")
-      (String.split_on_char '/' path)
-  in
-  let segs =
-    (* Resolve ".." against a preceding real segment where possible. *)
-    List.rev
-      (List.fold_left
-         (fun acc s ->
-           match (s, acc) with
-           | "..", p :: tl when p <> ".." -> tl
-           | _ -> s :: acc)
-         [] segs)
-  in
-  let root_at =
-    let rec go i best = function
-      | [] -> best
-      | s :: tl ->
-          go (i + 1) (if List.mem s top_level_dirs then Some i else best) tl
-    in
-    go 0 None segs
-  in
-  let segs =
-    match root_at with
-    | Some i -> List.filteri (fun j _ -> j >= i) segs
-    | None -> segs
-  in
-  String.concat "/" segs
-
-let norm = normalize_path
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let has_suffix suf s =
-  let ls = String.length s and l = String.length suf in
-  ls >= l && String.sub s (ls - l) l = suf
-
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
+(* Rule scopes                                                         *)
 
 let l2_exempt path =
   has_suffix "lib/util/rng.ml" path
@@ -130,42 +61,6 @@ let l5_in_scope path = has_prefix "lib/" path
 (* ------------------------------------------------------------------ *)
 (* Primitive tables                                                    *)
 
-(* Write primitives: resolved head name -> index of the mutated
-   positional argument. *)
-let write_prims =
-  [
-    (":=", 0); ("incr", 0); ("decr", 0);
-    ("Hashtbl.replace", 0); ("Hashtbl.add", 0); ("Hashtbl.remove", 0);
-    ("Hashtbl.reset", 0); ("Hashtbl.clear", 0);
-    ("Hashtbl.filter_map_inplace", 1);
-    ("Array.set", 0); ("Array.unsafe_set", 0); ("Array.fill", 0);
-    ("Array.blit", 2); ("Array.sort", 1); ("Array.fast_sort", 1);
-    ("Array.stable_sort", 1);
-    ("Bytes.set", 0); ("Bytes.unsafe_set", 0); ("Bytes.fill", 0);
-    ("Bytes.blit", 2);
-    ("Buffer.add_string", 0); ("Buffer.add_char", 0);
-    ("Buffer.add_bytes", 0); ("Buffer.add_buffer", 0);
-    ("Buffer.add_substring", 0); ("Buffer.add_subbytes", 0);
-    ("Buffer.clear", 0); ("Buffer.reset", 0); ("Buffer.truncate", 0);
-    ("Queue.add", 1); ("Queue.push", 1); ("Queue.pop", 0);
-    ("Queue.take", 0); ("Queue.clear", 0); ("Queue.transfer", 0);
-    ("Stack.push", 1); ("Stack.pop", 0); ("Stack.clear", 0);
-    ("Atomic.set", 0); ("Atomic.exchange", 0); ("Atomic.compare_and_set", 0);
-    ("Atomic.fetch_and_add", 0); ("Atomic.incr", 0); ("Atomic.decr", 0);
-  ]
-
-(* Allocators whose result is fresh mutable state: a let-bound name
-   holding one of these is task-local. *)
-let fresh_allocs =
-  [
-    "ref"; "Hashtbl.create"; "Hashtbl.copy"; "Queue.create"; "Queue.copy";
-    "Buffer.create"; "Stack.create"; "Atomic.make"; "Mutex.create";
-    "Condition.create"; "Array.make"; "Array.init"; "Array.create_float";
-    "Array.of_list"; "Array.copy"; "Array.make_matrix"; "Array.append";
-    "Array.concat"; "Array.sub"; "Array.map"; "Array.mapi"; "Bytes.create";
-    "Bytes.make"; "Bytes.copy"; "Bytes.of_string";
-  ]
-
 (* Allocators that make a module stateful for rule L5 (deliberately
    narrower: a local [Array.of_list] scratchpad is not "module holds
    mutable state", but any ref cell, table, queue or lock is). *)
@@ -174,8 +69,6 @@ let l5_allocs =
     "ref"; "Hashtbl.create"; "Queue.create"; "Buffer.create";
     "Stack.create"; "Atomic.make"; "Mutex.create"; "Condition.create";
   ]
-
-let mechanisms = [ "replay-log"; "mutex"; "atomic"; "domain-local" ]
 
 let wallclock = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
 
@@ -203,17 +96,11 @@ type info = {
          of module [m] (aliases already resolved). *)
 }
 
-type fctx = {
-  f_path : string;
-  f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
-  mutable f_mutable : bool;  (* L5 indicator *)
-}
+type fctx = { file : Lint_ir.file; mutable f_mutable : bool (* L5 *) }
 
 type global = {
-  defs : (string * string, info) Hashtbl.t;
+  defs : info defs;
   mutable roots : info list;
-  mutable files : fctx list;
   mutable diags : diagnostic list;
 }
 
@@ -225,66 +112,21 @@ type ctx = {
   in_root : bool;
 }
 
-let diag ctx rule (loc : Location.t) message =
-  let p = loc.Location.loc_start in
-  ctx.glob.diags <-
-    {
-      rule;
-      file = ctx.fc.f_path;
-      line = p.Lexing.pos_lnum;
-      col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-      message;
-    }
-    :: ctx.glob.diags
+let diag ctx rule loc message =
+  ctx.glob.diags <- diag_at rule ctx.fc.file.path loc message :: ctx.glob.diags
 
-let get_def glob key file modname =
-  match Hashtbl.find_opt glob.defs key with
-  | Some i -> i
-  | None ->
-      let i = { i_file = file; i_mod = modname; i_muts = []; i_calls = [] } in
-      Hashtbl.replace glob.defs key i;
-      i
+let new_info (fc : fctx) () =
+  { i_file = fc.file.path; i_mod = fc.file.modname; i_muts = []; i_calls = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Environment: locally-bound names                                    *)
 
-module Env = Map.Make (String)
-
 type kind = KFresh | KFn | KPlain
 
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-              acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let bind_plain env p =
-  List.fold_left (fun e v -> Env.add v KPlain e) env (pattern_vars p)
+let bind_plain = bind KPlain
 
 (* ------------------------------------------------------------------ *)
 (* Syntactic helpers                                                   *)
-
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
 
 let rec head_ident e =
   match e.pexp_desc with
@@ -324,21 +166,6 @@ let rec kind_of_rhs e =
 
 type guards = { guard : string option; feq : bool }
 
-let no_guards = { guard = None; feq = false }
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
-
 let guards_of_attrs ctx g attrs =
   List.fold_left
     (fun g (a : attribute) ->
@@ -347,17 +174,8 @@ let guards_of_attrs ctx g attrs =
           (* A "mutex:NAME" payload names the specific lock; the race
              analyzer (race.ml) verifies the name, L1 only accepts the
              shape. *)
-          let mechanism_of m =
-            if List.mem m mechanisms then Some m
-            else
-              match String.index_opt m ':' with
-              | Some i
-                when String.sub m 0 i = "mutex" && i + 1 < String.length m ->
-                  Some "mutex"
-              | _ -> None
-          in
-          match Option.bind (string_payload a.attr_payload) mechanism_of with
-          | Some m -> { g with guard = Some m }
+          match Option.bind (string_payload a.attr_payload) mechanism with
+          | Some (m, _) -> { g with guard = Some m }
           | None ->
               diag ctx "L1" a.attr_loc
                 "[@cts.guarded] must name its mechanism: \"replay-log\", \
@@ -370,17 +188,14 @@ let guards_of_attrs ctx g attrs =
 (* ------------------------------------------------------------------ *)
 (* Reference notes: call edges + L2/L3                                 *)
 
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
-
 let add_call ctx edge =
   if not (List.mem edge ctx.info.i_calls) then
     ctx.info.i_calls <- edge :: ctx.info.i_calls
 
 let note_ref ctx env (lid : Longident.t) loc =
   let segs = Longident.flatten lid in
-  (match segs with
-  | [ x ] -> (
+  match (segs, qualified segs) with
+  | [ x ], _ -> (
       match Env.find_opt x env with
       | Some KFn ->
           (* Reference to a local function from inside a pool-task
@@ -390,17 +205,12 @@ let note_ref ctx env (lid : Longident.t) loc =
           if ctx.in_root then add_call ctx ("", ctx.defname)
       | Some (KFresh | KPlain) -> ()
       | None -> add_call ctx ("", x))
-  | _ :: _ :: _ ->
-      let rec split acc = function
-        | [ last ] -> (List.rev acc, last)
-        | x :: tl -> split (x :: acc) tl
-        | [] -> assert false
-      in
-      let mods, name = split [] segs in
+  | _, Some (mods, m, name) ->
+      let path = ctx.fc.file.path in
       (* L2: any Random/Rng module segment. *)
       if
         List.exists (fun m -> m = "Random" || m = "Rng") mods
-        && not (l2_exempt ctx.fc.f_path)
+        && not (l2_exempt path)
       then
         diag ctx "L2" loc
           (Printf.sprintf
@@ -409,23 +219,17 @@ let note_ref ctx env (lid : Longident.t) loc =
              (String.concat "." segs));
       (* L3: wall-clock in lib/ outside report/bench. *)
       let d = dotted segs in
-      if List.mem d wallclock && l3_in_scope ctx.fc.f_path then
+      if List.mem d wallclock && l3_in_scope path then
         diag ctx "L3" loc
           (Printf.sprintf
              "wall-clock call %s in lib/ (allowed only under lib/report, \
               lib/bench and Obs.Clock)"
              d);
-      let m = resolve_alias ctx.fc (List.nth mods (List.length mods - 1)) in
-      add_call ctx (m, name)
-  | [] -> ())
+      add_call ctx (resolve_alias ctx.fc.file m, name)
+  | _, None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The walker                                                          *)
-
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, e) -> match lbl with Asttypes.Nolabel -> Some e | _ -> None)
-    args
 
 let record_mut ctx env g prim (target : expression option) loc =
   ctx.fc.f_mutable <- true;
@@ -451,7 +255,7 @@ let rec walk ctx env g e =
           let pos = nolabel_args args in
           (* Mutation primitives. *)
           (match List.assoc_opt d write_prims with
-          | Some idx ->
+          | Some (idx, _) ->
               let target = List.nth_opt pos idx in
               record_mut ctx env g d target e.pexp_loc
           | None ->
@@ -459,7 +263,7 @@ let rec walk ctx env g e =
           (* L4: float equality. *)
           (match (d, pos) with
           | ("=" | "<>"), [ a; b ]
-            when l4_in_scope ctx.fc.f_path
+            when l4_in_scope ctx.fc.file.path
                  && (is_floatish a || is_floatish b)
                  && not g.feq ->
               diag ctx "L4" e.pexp_loc
@@ -468,28 +272,15 @@ let rec walk ctx env g e =
                     (Numerics.Float_cmp) or annotate [@cts.float_eq_ok]"
                    d)
           | _ -> ());
-          (* Pool-task roots. *)
-          let is_pool_submit =
-            match segs with
-            | [ m; ("map" | "iter") ] -> resolve_alias ctx.fc m = "Parallel"
-            | _ -> false
-          in
-          if is_pool_submit then
+          (* Pool-task roots: every positional closure or name. *)
+          if task_of ctx.fc.file segs = Some Pool then
             List.iter
               (fun arg ->
-                match arg.pexp_desc with
-                | Pexp_fun _ | Pexp_function _ | Pexp_ident _ ->
-                    let rinfo =
-                      {
-                        i_file = ctx.fc.f_path;
-                        i_mod = ctx.fc.f_mod;
-                        i_muts = [];
-                        i_calls = [];
-                      }
-                    in
-                    ctx.glob.roots <- rinfo :: ctx.glob.roots;
-                    walk { ctx with info = rinfo; in_root = true } env g arg
-                | _ -> ())
+                if is_closure arg then begin
+                  let rinfo = new_info ctx.fc () in
+                  ctx.glob.roots <- rinfo :: ctx.glob.roots;
+                  walk { ctx with info = rinfo; in_root = true } env g arg
+                end)
               pos
       | None -> ());
       walk ctx env g f;
@@ -502,18 +293,9 @@ let rec walk ctx env g e =
       record_mut ctx env g "<- (instance variable set)" None e.pexp_loc;
       walk ctx env g v
   | Pexp_let (rf, vbs, body) ->
-      let bound =
-        List.concat_map
-          (fun vb ->
-            match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt; _ } -> [ (txt, kind_of_rhs vb.pvb_expr) ]
-            | _ -> List.map (fun v -> (v, KPlain)) (pattern_vars vb.pvb_pat))
-          vbs
+      let env', rhs_env =
+        bind_let ~kind:kind_of_rhs ~plain:KPlain env rf vbs
       in
-      let env' =
-        List.fold_left (fun e (v, k) -> Env.add v k e) env bound
-      in
-      let rhs_env = if rf = Asttypes.Recursive then env' else env in
       List.iter
         (fun vb ->
           let g' = guards_of_attrs ctx g vb.pvb_attributes in
@@ -532,32 +314,12 @@ let rec walk ctx env g e =
       walk ctx env g hi;
       walk ctx (bind_plain env pat) g body
   | _ ->
-      (* Generic fallback: visit child expressions with the current
-         environment; no constructor left unhandled introduces value
-         bindings that matter to locality (cases are caught above). *)
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e' -> walk ctx env g e');
-          case =
-            (fun _ c ->
-              let env = bind_plain env c.pc_lhs in
-              Option.iter (walk ctx env g) c.pc_guard;
-              walk ctx env g c.pc_rhs);
-          attributes = (fun _ _ -> ());
-          pat = (fun _ _ -> ());
-          typ = (fun _ _ -> ());
-        }
-      in
-      Ast_iterator.default_iterator.expr it e
+      (* No constructor left unhandled introduces value bindings that
+         matter to locality (cases are caught above). *)
+      walk_children bind_plain (fun env -> walk ctx env g) env e
 
 and walk_cases ctx env g cases =
-  List.iter
-    (fun c ->
-      let env = bind_plain env c.pc_lhs in
-      Option.iter (walk ctx env g) c.pc_guard;
-      walk ctx env g c.pc_rhs)
-    cases
+  List.iter (walk_case bind_plain (fun env -> walk ctx env g) env) cases
 
 (* ------------------------------------------------------------------ *)
 (* Structure pass                                                      *)
@@ -593,112 +355,61 @@ let type_decl_mutable fc (td : type_declaration) =
   it.type_declaration it td
 
 let do_structure glob fc (str : structure) =
-  List.iter
-    (fun item ->
+  iter_bindings
+    ~other:(fun item ->
       match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | _ ->
-                    Printf.sprintf "_top_%d"
-                      item.pstr_loc.Location.loc_start.Lexing.pos_lnum
-              in
-              let info = get_def glob (fc.f_mod, name) fc.f_path fc.f_mod in
-              let ctx =
-                { glob; fc; info; defname = name; in_root = false }
-              in
-              let g = guards_of_attrs ctx no_guards vb.pvb_attributes in
-              walk ctx Env.empty g vb.pvb_expr)
-            vbs
-      | Pstr_eval (e, attrs) ->
-          let info = get_def glob (fc.f_mod, "_eval") fc.f_path fc.f_mod in
-          let ctx = { glob; fc; info; defname = "_eval"; in_root = false } in
-          let g = guards_of_attrs ctx no_guards attrs in
-          walk ctx Env.empty g e
-      | Pstr_module mb -> (
-          match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
-          | _ -> ())
       | Pstr_type (_, tds) -> List.iter (type_decl_mutable fc) tds
       | _ -> ())
+    (fun b ->
+      let info =
+        def glob.defs (fc.file.modname, b.name) (new_info fc)
+      in
+      let ctx = { glob; fc; info; defname = b.name; in_root = false } in
+      let g = guards_of_attrs ctx { guard = None; feq = false } b.attrs in
+      walk ctx Env.empty g b.expr)
     str
 
 (* ------------------------------------------------------------------ *)
 (* L1 reachability                                                     *)
 
 let report_l1 glob =
-  let visited : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter (fun r -> Queue.add r queue) glob.roots;
-  let reached = ref [] in
-  while not (Queue.is_empty queue) do
-    let info = Queue.pop queue in
-    reached := info :: !reached;
-    List.iter
-      (fun (m, n) ->
-        let key = ((if m = "" then info.i_mod else m), n) in
-        if not (Hashtbl.mem visited key) then begin
-          Hashtbl.replace visited key ();
-          match Hashtbl.find_opt glob.defs key with
-          | Some i -> Queue.add i queue
-          | None -> ()
-        end)
-      info.i_calls
-  done;
+  let reached =
+    reachable glob.defs
+      ~modname:(fun i -> i.i_mod)
+      ~edges:(fun i -> List.map (fun e -> (e, ())) i.i_calls)
+      glob.roots
+  in
   List.iter
     (fun info ->
       List.iter
         (fun m ->
-          match m.mguard with
-          | Some _ -> ()
-          | None ->
-              let p = m.mloc.Location.loc_start in
-              glob.diags <-
-                {
-                  rule = "L1";
-                  file = info.i_file;
-                  line = p.Lexing.pos_lnum;
-                  col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-                  message =
-                    Printf.sprintf
-                      "%s writes shared state reachable from a Parallel \
-                       pool task; annotate the enclosing definition with \
-                       [@cts.guarded \
-                       \"replay-log\"|\"mutex\"|\"atomic\"|\"domain-local\"] \
-                       or keep the target task-local"
-                      m.prim;
-                }
-                :: glob.diags)
+          if m.mguard = None then
+            glob.diags <-
+              diag_at "L1" info.i_file m.mloc
+                (Printf.sprintf
+                   "%s writes shared state reachable from a Parallel pool \
+                    task; annotate the enclosing definition with \
+                    [@cts.guarded \
+                    \"replay-log\"|\"mutex\"|\"atomic\"|\"domain-local\"] or \
+                    keep the target task-local"
+                   m.prim)
+              :: glob.diags)
         info.i_muts)
-    !reached
+    reached
 
 (* ------------------------------------------------------------------ *)
 (* L5                                                                  *)
 
-let report_l5 glob mlis =
+let report_l5 glob ir files =
   List.iter
     (fun fc ->
-      if fc.f_mutable && l5_in_scope fc.f_path then begin
-        let mli_path = Filename.remove_extension fc.f_path ^ ".mli" in
-        match List.assoc_opt mli_path mlis with
+      let path = fc.file.path in
+      if fc.f_mutable && l5_in_scope path then begin
+        let mli_path = Filename.remove_extension path ^ ".mli" in
+        match List.find_opt (fun (f : file) -> f.path = mli_path) ir with
         | None -> ()  (* no interface: nothing to document *)
-        | Some text ->
-            let has_line =
-              let needle = "Domain-safety:" in
-              let nl = String.length needle and tl = String.length text in
-              let rec search i =
-                i + nl <= tl
-                && (String.sub text i nl = needle || search (i + 1))
-              in
-              search 0
-            in
-            if not has_line then
+        | Some mli ->
+            if not (contains mli.text "Domain-safety:") then
               glob.diags <-
                 {
                   rule = "L5";
@@ -709,70 +420,31 @@ let report_l5 glob mlis =
                     Printf.sprintf
                       "%s holds mutable state but its .mli has no \
                        'Domain-safety:' doc line"
-                      fc.f_mod;
+                      fc.file.modname;
                 }
                 :: glob.diags
       end)
-    glob.files
+    files
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let parse_structure path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
-
-let lint_sources sources =
-  let sources = List.map (fun (p, c) -> (norm p, c)) sources in
-  let mls = List.filter (fun (p, _) -> Filename.check_suffix p ".ml") sources in
-  let mlis =
-    List.filter (fun (p, _) -> Filename.check_suffix p ".mli") sources
+let lint_ir ir =
+  let glob = { defs = create_defs (); roots = []; diags = [] } in
+  let files =
+    List.map
+      (fun (file, str) ->
+        let fc = { file; f_mutable = false } in
+        do_structure glob fc str;
+        fc)
+      (implementations ir)
   in
-  let glob =
-    { defs = Hashtbl.create 256; roots = []; files = []; diags = [] }
-  in
-  List.iter
-    (fun (path, contents) ->
-      let fc =
-        {
-          f_path = path;
-          f_mod = module_name_of path;
-          f_aliases = Hashtbl.create 8;
-          f_mutable = false;
-        }
-      in
-      glob.files <- fc :: glob.files;
-      match parse_structure path contents with
-      | str -> do_structure glob fc str
-      | exception exn ->
-          (let line, col, msg =
-             match Location.error_of_exn exn with
-             | Some (`Ok (e : Location.error)) ->
-                 let loc = e.Location.main.Location.loc in
-                 let p = loc.Location.loc_start in
-                 ( p.Lexing.pos_lnum,
-                   p.Lexing.pos_cnum - p.Lexing.pos_bol,
-                   Format.asprintf "%t" e.Location.main.Location.txt )
-             | _ -> (1, 0, Printexc.to_string exn)
-           in
-           glob.diags <-
-             { rule = "syntax"; file = path; line; col; message = msg }
-             :: glob.diags)
-          [@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"])
-    mls;
   report_l1 glob;
-  report_l5 glob mlis;
-  sort_diagnostics glob.diags
+  report_l5 glob ir files;
+  sort_diagnostics (syntax_errors ~interfaces:false ir @ glob.diags)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_paths paths =
-  lint_sources (List.map (fun p -> (p, read_file p)) paths)
+let lint_sources sources = lint_ir (of_sources sources)
+let lint_paths paths = lint_ir (of_paths paths)
 
 let rec scan_one acc path =
   if Sys.is_directory path then

@@ -1,7 +1,7 @@
 (** Source-level determinism / domain-safety lint for this repository.
 
-    Parses every [.ml] under the scanned directories with compiler-libs
-    ([Parse.implementation]) and enforces the conventions PR 1's
+    Walks every parsed [.ml] of a {!Lint_ir.t} (the front end shared
+    with {!Units}, {!Race} and {!Exc}) and enforces the conventions the
     parallel synthesis relies on. Nothing here runs the type-checker:
     the analysis is a deliberately conservative syntactic
     approximation, tuned so that the repository itself lints clean
@@ -43,7 +43,7 @@
     itself reported (rule L1): blanket suppressions are not
     accepted. *)
 
-type diagnostic = {
+type diagnostic = Lint_ir.diagnostic = {
   rule : string;  (** "L1" .. "L5", or "syntax" for unparseable input. *)
   file : string;
   line : int;
@@ -61,20 +61,21 @@ val sort_diagnostics : diagnostic list -> diagnostic list
 (** Sort by {!compare_diagnostic} and deduplicate. *)
 
 val normalize_path : string -> string
-(** Normalize a source path for rule scoping: drop ["."] segments,
-    resolve [".."] where possible, and re-root at the last segment
-    naming a known top-level source directory ([lib], [bin], [bench],
-    [test], [examples]) — so ["./lib/dme/d.ml"],
+(** {!Lint_ir.normalize_path}: ["./lib/dme/d.ml"],
     ["/abs/checkout/lib/dme/d.ml"] and ["lib/dme/d.ml"] all scope (and
-    report) identically. Paths containing no known root are only
-    cleaned. *)
+    report) identically. *)
+
+val lint_ir : Lint_ir.t -> diagnostic list
+(** Lint parsed sources: L1–L4 over the implementations, L5 against
+    the interface texts, plus the implementations' ["syntax"]
+    diagnostics. Sorted and deduplicated. *)
 
 val lint_sources : (string * string) list -> diagnostic list
 (** [lint_sources [(path, contents); ...]] lints in-memory sources.
     Paths are significant: rule scoping (L2–L5) keys off normalized
     relative paths such as ["lib/cts_core/cts.ml"]; [.mli] entries are
-    consulted (as text) by L5 only. Diagnostics are sorted by
-    (file, line, col, rule) and deduplicated. *)
+    consulted (as text) by L5 only. Equivalent to
+    [lint_ir (Lint_ir.of_sources sources)]. *)
 
 val lint_paths : string list -> diagnostic list
 (** Read the given files from disk and lint them; directory traversal

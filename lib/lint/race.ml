@@ -14,136 +14,36 @@
    [Domain.spawn]), which start fresh root summaries with an empty
    lock state: a task never inherits its submitter's locks.
 
-   Pass 2 computes fixpoints over the call graph (transitive lock
+   Pass 2 runs Lint_ir.fixpoint over the call graph (transitive lock
    acquisition for C3, transitive Domain.DLS use for "domain-local"
-   claim verification, transitive may-block for C4) and the set of
-   summaries reachable from pool-task roots.
+   claim verification, transitive may-block for C4) and
+   Lint_ir.reachable from the pool-task roots.
 
    Pass 3 emits C1-C5. Everything is emitted into one list and sorted
-   through Lint.sort_diagnostics, and all cross-function grouping
+   through Lint_ir.sort_diagnostics, and all cross-function grouping
    (C2 lock-set comparison, C3 pair matching) sorts its sites first,
    so the report is identical under any file-visit order. *)
 
 open Parsetree
-
-(* ------------------------------------------------------------------ *)
-(* Small syntactic helpers (shared shape with lint.ml)                  *)
-
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
-
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
-
-let pattern_vars p =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      pat =
-        (fun it p ->
-          (match p.ppat_desc with
-          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-              acc := txt :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.pat it p);
-    }
-  in
-  it.pat it p;
-  !acc
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
+open Lint_ir
 
 (* Does the expression syntactically involve a Domain.DLS access?
    (Used for dls-derived bindings and the C5 escape check.) *)
-let mentions_dls e =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e' ->
-          (match e'.pexp_desc with
-          | Pexp_ident { txt; _ } -> (
-              match Longident.flatten txt with
-              | [ "Domain"; "DLS"; _ ] | [ "DLS"; _ ] -> found := true
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e');
-    }
-  in
-  it.expr it e;
-  !found
+let mentions_dls =
+  exists_expr (fun e ->
+      match e.pexp_desc with
+      | Pexp_ident { txt; _ } -> (
+          match Longident.flatten txt with
+          | [ "Domain"; "DLS"; _ ] | [ "DLS"; _ ] -> true
+          | _ -> false)
+      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Primitive tables                                                     *)
 
-(* Mutation primitives: resolved head -> (mutated argument index,
-   stored-value argument index if meaningful for C5). *)
-let write_prims =
-  [
-    (":=", (0, Some 1)); ("incr", (0, None)); ("decr", (0, None));
-    ("Hashtbl.replace", (0, Some 2)); ("Hashtbl.add", (0, Some 2));
-    ("Hashtbl.remove", (0, None)); ("Hashtbl.reset", (0, None));
-    ("Hashtbl.clear", (0, None)); ("Hashtbl.filter_map_inplace", (1, None));
-    ("Array.set", (0, Some 2)); ("Array.unsafe_set", (0, Some 2));
-    ("Array.fill", (0, Some 3)); ("Array.blit", (2, None));
-    ("Array.sort", (1, None)); ("Array.fast_sort", (1, None));
-    ("Array.stable_sort", (1, None));
-    ("Bytes.set", (0, None)); ("Bytes.unsafe_set", (0, None));
-    ("Bytes.fill", (0, None)); ("Bytes.blit", (2, None));
-    ("Buffer.add_string", (0, None)); ("Buffer.add_char", (0, None));
-    ("Buffer.add_bytes", (0, None)); ("Buffer.add_buffer", (0, None));
-    ("Buffer.add_substring", (0, None)); ("Buffer.add_subbytes", (0, None));
-    ("Buffer.clear", (0, None)); ("Buffer.reset", (0, None));
-    ("Buffer.truncate", (0, None));
-    ("Queue.add", (1, Some 0)); ("Queue.push", (1, Some 0));
-    ("Queue.pop", (0, None)); ("Queue.take", (0, None));
-    ("Queue.clear", (0, None)); ("Queue.transfer", (0, None));
-    ("Stack.push", (1, Some 0)); ("Stack.pop", (0, None));
-    ("Stack.clear", (0, None));
-    ("Atomic.set", (0, Some 1)); ("Atomic.exchange", (0, Some 1));
-    ("Atomic.compare_and_set", (0, Some 2));
-    ("Atomic.fetch_and_add", (0, None)); ("Atomic.incr", (0, None));
-    ("Atomic.decr", (0, None));
-  ]
-
-let is_atomic_prim d =
-  String.length d > 7 && String.sub d 0 7 = "Atomic."
-
-let fresh_allocs =
-  [
-    "ref"; "Hashtbl.create"; "Hashtbl.copy"; "Queue.create"; "Queue.copy";
-    "Buffer.create"; "Stack.create"; "Atomic.make"; "Mutex.create";
-    "Condition.create"; "Array.make"; "Array.init"; "Array.create_float";
-    "Array.of_list"; "Array.copy"; "Array.make_matrix"; "Array.append";
-    "Array.concat"; "Array.sub"; "Array.map"; "Array.mapi"; "Bytes.create";
-    "Bytes.make"; "Bytes.copy"; "Bytes.of_string";
-  ]
+let is_atomic_prim d = has_prefix "Atomic." d
 
 (* Module-level binding classification (pre-pass). *)
-let mutex_allocs = [ "Mutex.create" ]
-let atomic_allocs = [ "Atomic.make" ]
 let dls_allocs = [ "Domain.DLS.new_key"; "DLS.new_key" ]
 
 (* Blocking / allocating-heavy primitives for C4. [Condition.wait] is
@@ -184,19 +84,9 @@ type claim = {
   cl_mech : string;  (* "mutex" | "atomic" | "replay-log" | "domain-local" *)
   cl_lock : string option;  (* the NAME of a "mutex:NAME" payload *)
   cl_file : string;
-  cl_line : int;
-  cl_col : int;
+  cl_loc : Location.t;
   mutable cl_used : bool;  (* some mutation was recorded in its scope *)
 }
-
-let parse_mechanism s =
-  let mechanisms = [ "replay-log"; "mutex"; "atomic"; "domain-local" ] in
-  if List.mem s mechanisms then Some (s, None)
-  else
-    match String.index_opt s ':' with
-    | Some i when String.sub s 0 i = "mutex" && i + 1 < String.length s ->
-        Some ("mutex", Some (String.sub s (i + 1) (String.length s - i - 1)))
-    | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Summaries                                                            *)
@@ -219,14 +109,18 @@ type write = {
   w_loc : Location.t;
 }
 
+type call = {
+  c_locks : string list;  (* held at the reference *)
+  c_shielded : bool;  (* under a try body or a protect combinator *)
+  c_loc : Location.t;
+}
+
 type info = {
   i_file : string;
   i_mod : string;
-  i_name : string;  (* definition name, or "<task@line>" for roots *)
   mutable i_writes : write list;
-  mutable i_calls : (string * string * string list * bool * Location.t) list;
-      (* (module ("" = same), name, locks held at the reference,
-         shielded — under a try body or a protect combinator, loc) *)
+  mutable i_calls : ((string * string) * call) list;
+      (* (module ("" = same), name) edges, latest first *)
   mutable i_acquires : (string * Location.t) list;
   mutable i_pairs : (string * string * Location.t) list;
       (* (outer, inner): inner acquired while outer held, same body *)
@@ -239,24 +133,17 @@ type info = {
 }
 
 type global = {
-  defs : (string * string, info) Hashtbl.t;
-  mutable infos : info list;  (* reverse insertion order *)
+  defs : info defs;  (* definitions and task roots *)
   mutable roots : info list;
-  toplevel : (string * string, string) Hashtbl.t;
+  mutexes : (string * string, unit) Hashtbl.t;  (* module-level *)
       (* (Module, name) -> "mutex" | "atomic" | "dls-key" | "mutable" *)
   mutable claims : claim list;
   mutable diags : Lint.diagnostic list;
 }
 
-type fctx = {
-  f_path : string;
-  f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
-}
-
 type ctx = {
   glob : global;
-  fc : fctx;
+  fc : file;
   info : info;
   defname : string;
   in_root : bool;
@@ -266,46 +153,25 @@ type ctx = {
                        Mutex.protect / Fun.protect combinator *)
 }
 
-let diag_at glob file (loc : Location.t) rule message =
-  let p = loc.Location.loc_start in
-  glob.diags <-
-    {
-      Lint.rule;
-      file;
-      line = p.Lexing.pos_lnum;
-      col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-      message;
-    }
-    :: glob.diags
+let emit glob d = glob.diags <- d :: glob.diags
 
-let get_def glob key file modname name =
-  match Hashtbl.find_opt glob.defs key with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          i_file = file;
-          i_mod = modname;
-          i_name = name;
-          i_writes = [];
-          i_calls = [];
-          i_acquires = [];
-          i_pairs = [];
-          i_blocking = [];
-          i_dls = false;
-          i_trans_dls = false;
-          i_trans_acq = [];
-          i_may_block = None;
-        }
-      in
-      Hashtbl.replace glob.defs key i;
-      glob.infos <- i :: glob.infos;
-      i
+let new_info (fc : file) () =
+  {
+    i_file = fc.path;
+    i_mod = fc.modname;
+    i_writes = [];
+    i_calls = [];
+    i_acquires = [];
+    i_pairs = [];
+    i_blocking = [];
+    i_dls = false;
+    i_trans_dls = false;
+    i_trans_acq = [];
+    i_may_block = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Environment                                                          *)
-
-module Env = Map.Make (String)
 
 type kind = KFresh | KFn | KParam | KDls | KPlain
 
@@ -319,21 +185,13 @@ let rec kind_of_rhs e =
           let d = dotted segs in
           if List.mem d fresh_allocs then KFresh
           else if List.mem d dls_allocs || d = "DLS.get" then KDls
-          else if
-            match segs with
-            | [ "Domain"; "DLS"; "get" ] -> true
-            | _ -> false
-          then KDls
           else KPlain
       | None -> KPlain)
   | Pexp_constraint (e', _) | Pexp_lazy e' -> kind_of_rhs e'
   | _ -> if mentions_dls e then KDls else KPlain
 
-let bind_params env p =
-  List.fold_left (fun e v -> Env.add v KParam e) env (pattern_vars p)
-
-let bind_plain env p =
-  List.fold_left (fun e v -> Env.add v KPlain e) env (pattern_vars p)
+let bind_params = bind KParam
+let bind_plain = bind KPlain
 
 (* ------------------------------------------------------------------ *)
 (* Attributes                                                           *)
@@ -343,22 +201,20 @@ let guards_of_attrs ctx (attrs : attributes) =
     (fun ctx (a : attribute) ->
       match a.attr_name.Location.txt with
       | "cts.guarded" -> (
-          match Option.map parse_mechanism (string_payload a.attr_payload) with
-          | Some (Some (mech, lock)) ->
-              let p = a.attr_loc.Location.loc_start in
+          match Option.bind (string_payload a.attr_payload) mechanism with
+          | Some (mech, lock) ->
               let cl =
                 {
                   cl_mech = mech;
                   cl_lock = lock;
-                  cl_file = ctx.fc.f_path;
-                  cl_line = p.Lexing.pos_lnum;
-                  cl_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
+                  cl_file = ctx.fc.path;
+                  cl_loc = a.attr_loc;
                   cl_used = false;
                 }
               in
               ctx.glob.claims <- cl :: ctx.glob.claims;
               { ctx with claim = Some cl }
-          | Some None | None -> ctx (* malformed payloads are L1's job *))
+          | None -> ctx (* malformed payloads are L1's job *))
       | "cts.blocking_ok" -> { ctx with blocking_ok = true }
       | _ -> ctx)
     ctx attrs
@@ -366,33 +222,17 @@ let guards_of_attrs ctx (attrs : attributes) =
 (* ------------------------------------------------------------------ *)
 (* Identity resolution                                                  *)
 
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
-
-(* Resolved identity of a lock expression. Module-level mutexes get
-   their qualified path; record fields a field-keyed identity (every
-   [pool.mutex] is one lock as far as the analysis is concerned —
-   coarse, but exactly the granularity the repo's pool uses); locals
-   and parameters an opaque per-name identity. *)
-let rec lock_id ctx env e =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident x; _ } -> (
-      match Env.find_opt x env with
-      | Some (KParam | KPlain | KFn) -> "<local:" ^ x ^ ">"
-      | Some KFresh -> "<fresh:" ^ x ^ ">"
-      | Some KDls -> "<dls:" ^ x ^ ">"
-      | None -> ctx.fc.f_mod ^ "." ^ x)
-  | Pexp_ident { txt; _ } -> (
-      match List.rev (Longident.flatten txt) with
-      | x :: m :: _ -> resolve_alias ctx.fc m ^ "." ^ x
-      | [ x ] -> ctx.fc.f_mod ^ "." ^ x
-      | [] -> "<anon>")
-  | Pexp_field (_, { txt; _ }) -> (
-      match List.rev (Longident.flatten txt) with
-      | f :: _ -> "<." ^ f ^ ">"
-      | [] -> "<anon>")
-  | Pexp_constraint (e', _) -> lock_id ctx env e'
-  | _ -> "<anon>"
+(* Resolved identity of a lock expression (coarse, but exactly the
+   granularity the repo's pool uses); locals and parameters get an
+   opaque per-name identity. *)
+let lock_id ctx env =
+  resource_id ctx.fc ~local:(fun x ->
+      Option.map
+        (function
+          | KParam | KPlain | KFn -> "<local:" ^ x ^ ">"
+          | KFresh -> "<fresh:" ^ x ^ ">"
+          | KDls -> "<dls:" ^ x ^ ">")
+        (Env.find_opt x env))
 
 (* Classify a mutation target: peel field projections down to the head
    identifier, then decide locality from the environment or resolve a
@@ -403,13 +243,7 @@ let classify_target ctx env (target : expression option) =
   | Some t ->
       let rec peel fields e =
         match e.pexp_desc with
-        | Pexp_field (e', { txt; _ }) ->
-            let f =
-              match List.rev (Longident.flatten txt) with
-              | x :: _ -> x
-              | [] -> "?"
-            in
-            peel (f :: fields) e'
+        | Pexp_field (e', { txt; _ }) -> peel (Longident.last txt :: fields) e'
         | Pexp_constraint (e', _) -> peel fields e'
         | _ -> (fields, e)
       in
@@ -425,14 +259,14 @@ let classify_target ctx env (target : expression option) =
           | Some (KParam | KFn) -> (W_param, field_id ())
           | Some KPlain -> (W_opaque, field_id ())
           | None ->
-              let id = ctx.fc.f_mod ^ "." ^ x in
+              let id = ctx.fc.modname ^ "." ^ x in
               (W_shared id, Some id))
       | Pexp_ident { txt; _ } -> (
-          match List.rev (Longident.flatten txt) with
-          | x :: m :: _ ->
-              let id = resolve_alias ctx.fc m ^ "." ^ x in
+          match ref_key ctx.fc (Longident.flatten txt) with
+          | Some (m, x) ->
+              let id = m ^ "." ^ x in
               (W_shared id, Some id)
-          | _ -> (W_opaque, field_id ()))
+          | None -> (W_opaque, field_id ()))
       | Pexp_apply (f, _) -> (
           (* A projection through a call: [ (current ()).counts ].
              DLS-returning callees make the target domain-local. *)
@@ -446,18 +280,16 @@ let classify_target ctx env (target : expression option) =
 (* ------------------------------------------------------------------ *)
 (* The walker                                                           *)
 
-let nolabel_args args =
-  List.filter_map
-    (fun (lbl, e) -> match lbl with Asttypes.Nolabel -> Some e | _ -> None)
-    args
-
-let add_call ctx locks (edge : string * string) loc =
-  let m, n = edge in
-  ctx.info.i_calls <- (m, n, locks, ctx.shielded, loc) :: ctx.info.i_calls
+let add_call ctx locks edge loc =
+  ctx.info.i_calls <-
+    (edge, { c_locks = locks; c_shielded = ctx.shielded; c_loc = loc })
+    :: ctx.info.i_calls
 
 let note_ref ctx env locks (lid : Longident.t) loc =
-  match Longident.flatten lid with
-  | [ x ] -> (
+  let segs = Longident.flatten lid in
+  match (segs, ref_key ctx.fc segs) with
+  | _, Some edge -> add_call ctx locks edge loc
+  | [ x ], None -> (
       match Env.find_opt x env with
       | Some KFn ->
           (* Local function referenced from a pool-task lambda: link
@@ -465,11 +297,7 @@ let note_ref ctx env locks (lid : Longident.t) loc =
           if ctx.in_root then add_call ctx locks ("", ctx.defname) loc
       | Some _ -> ()
       | None -> add_call ctx locks ("", x) loc)
-  | _ :: _ :: _ as segs -> (
-      match List.rev segs with
-      | n :: m :: _ -> add_call ctx locks (resolve_alias ctx.fc m, n) loc
-      | _ -> ())
-  | [] -> ()
+  | _ -> ()
 
 let record_write ctx env locks ~prim ~atomic target value loc =
   let cls, id = classify_target ctx env target in
@@ -509,26 +337,10 @@ let release locks l =
   in
   go locks
 
-let mk_root ctx (loc : Location.t) =
-  let p = loc.Location.loc_start in
-  let rinfo =
-    {
-      i_file = ctx.fc.f_path;
-      i_mod = ctx.fc.f_mod;
-      i_name = Printf.sprintf "<task@%d>" p.Lexing.pos_lnum;
-      i_writes = [];
-      i_calls = [];
-      i_acquires = [];
-      i_pairs = [];
-      i_blocking = [];
-      i_dls = false;
-      i_trans_dls = false;
-      i_trans_acq = [];
-      i_may_block = None;
-    }
-  in
+let mk_root ctx =
+  let rinfo = new_info ctx.fc () in
   ctx.glob.roots <- rinfo :: ctx.glob.roots;
-  ctx.glob.infos <- rinfo :: ctx.glob.infos;
+  add_node ctx.glob.defs rinfo;
   rinfo
 
 (* [walk] returns the lock state after the expression so sequences and
@@ -546,13 +358,10 @@ let rec walk ctx env locks e : string list =
       locks
   | Pexp_apply (f, args) -> walk_apply ctx env locks e f args
   | Pexp_setfield (tgt, fld, v) ->
-      let fname =
-        match List.rev (Longident.flatten fld.Location.txt) with
-        | x :: _ -> x
-        | [] -> "?"
-      in
       record_write ctx env locks
-        ~prim:(Printf.sprintf "%s <- (mutable field set)" fname)
+        ~prim:
+          (Printf.sprintf "%s <- (mutable field set)"
+             (Longident.last fld.Location.txt))
         ~atomic:false
         (Some { e with pexp_desc = Pexp_field (tgt, fld) })
         (Some v) e.pexp_loc;
@@ -563,16 +372,9 @@ let rec walk ctx env locks e : string list =
         ~atomic:false None (Some v) e.pexp_loc;
       walk ctx env locks v
   | Pexp_let (rf, vbs, body) ->
-      let bound =
-        List.concat_map
-          (fun vb ->
-            match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt; _ } -> [ (txt, kind_of_rhs vb.pvb_expr) ]
-            | _ -> List.map (fun v -> (v, KPlain)) (pattern_vars vb.pvb_pat))
-          vbs
+      let env', rhs_env =
+        bind_let ~kind:kind_of_rhs ~plain:KPlain env rf vbs
       in
-      let env' = List.fold_left (fun e (v, k) -> Env.add v k e) env bound in
-      let rhs_env = if rf = Asttypes.Recursive then env' else env in
       let locks' =
         List.fold_left
           (fun lks vb ->
@@ -626,39 +428,23 @@ let rec walk ctx env locks e : string list =
       ignore (walk ctx (bind_plain env pat) locks' body);
       locks'
   | _ ->
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e' -> ignore (walk ctx env locks e'));
-          case =
-            (fun _ c ->
-              let env = bind_plain env c.pc_lhs in
-              Option.iter (fun g -> ignore (walk ctx env locks g)) c.pc_guard;
-              ignore (walk ctx env locks c.pc_rhs));
-          attributes = (fun _ _ -> ());
-          pat = (fun _ _ -> ());
-          typ = (fun _ _ -> ());
-        }
-      in
-      Ast_iterator.default_iterator.expr it e;
+      walk_children bind_plain
+        (fun env e -> ignore (walk ctx env locks e))
+        env e;
       locks
 
 and walk_cases ctx env locks cases =
   List.iter
-    (fun c ->
-      let env = bind_plain env c.pc_lhs in
-      Option.iter (fun g -> ignore (walk ctx env locks g)) c.pc_guard;
-      ignore (walk ctx env locks c.pc_rhs))
+    (walk_case bind_plain (fun env e -> ignore (walk ctx env locks e)) env)
     cases
 
 and walk_closure_as_root ctx env arg =
   (* Deferred-execution closure: its effects belong to a fresh root
      summary and it never inherits the submitter's lock state. *)
-  match arg.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ | Pexp_ident _ ->
-      let rinfo = mk_root ctx arg.pexp_loc in
-      ignore (walk { ctx with info = rinfo; in_root = true } env [] arg)
-  | _ -> ignore (walk ctx env [] arg)
+  if is_closure arg then
+    let rinfo = mk_root ctx in
+    ignore (walk { ctx with info = rinfo; in_root = true } env [] arg)
+  else ignore (walk ctx env [] arg)
 
 and walk_apply ctx env locks e f args =
   match apply_head f with
@@ -687,15 +473,11 @@ and walk_apply ctx env locks e f args =
           let ctx = { ctx with shielded = true } in
           List.iter (fun (_, a) -> ignore (walk ctx env locks a)) args;
           locks
-      | ("Domain.spawn" | "Domain.Spawn.spawn"), args' ->
+      | _, args' when task_of ctx.fc segs = Some Spawn ->
           List.iter (walk_closure_as_root ctx env) args';
           locks
       | _ ->
-          let is_pool_submit =
-            match segs with
-            | [ m; ("map" | "iter") ] -> resolve_alias ctx.fc m = "Parallel"
-            | _ -> false
-          in
+          let is_pool_submit = task_of ctx.fc segs = Some Pool in
           (* Mutation primitives. *)
           (match List.assoc_opt d write_prims with
           | Some (tgt_idx, val_idx) ->
@@ -713,29 +495,12 @@ and walk_apply ctx env locks e f args =
           | _ -> ());
           ignore (walk ctx env locks f);
           if is_pool_submit then begin
-            (* First positional argument is the pool, the rest carry
-               the task closures; walk closures as roots, everything
-               else normally. *)
-            List.iteri
-              (fun i a ->
-                if i = 0 then ignore (walk ctx env locks a)
-                else
-                  match a.pexp_desc with
-                  | Pexp_fun _ | Pexp_function _ ->
-                      walk_closure_as_root ctx env a
-                  | Pexp_ident _ ->
-                      (* Both: the name is callable from the task, and
-                         the reference itself is recorded normally. *)
-                      walk_closure_as_root ctx env a;
-                      ignore (walk ctx env locks a)
-                  | _ -> ignore (walk ctx env locks a))
-              pos;
-            List.iter
-              (fun (lbl, a) ->
-                match lbl with
-                | Asttypes.Nolabel -> ()
-                | _ -> ignore (walk ctx env locks a))
-              args;
+            let walk_here a = ignore (walk ctx env locks a) in
+            iter_pool_args args ~other:walk_here ~closure:(fun a ->
+                walk_closure_as_root ctx env a;
+                (* A name is both callable from the task and a reference
+                   recorded normally. *)
+                match a.pexp_desc with Pexp_ident _ -> walk_here a | _ -> ());
             locks
           end
           else
@@ -744,152 +509,73 @@ and walk_apply ctx env locks e f args =
 (* ------------------------------------------------------------------ *)
 (* Structure passes                                                     *)
 
-(* Pre-pass: classify module-level bindings (mutexes, atomics, DLS
-   keys, mutable containers) and record module aliases. *)
-let classify_toplevel glob fc (str : structure) =
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              match vb.pvb_pat.ppat_desc with
-              | Ppat_var { txt; _ } -> (
-                  let rec head e =
-                    match e.pexp_desc with
-                    | Pexp_apply (f, _) -> apply_head f
-                    | Pexp_constraint (e', _) -> head e'
-                    | _ -> None
-                  in
-                  match head vb.pvb_expr with
-                  | Some segs ->
-                      let d = dotted segs in
-                      let full =
-                        match segs with
-                        | [ _; _; _ ] -> String.concat "." segs
-                        | _ -> d
-                      in
-                      let kind =
-                        if List.mem d mutex_allocs then Some "mutex"
-                        else if List.mem d atomic_allocs then Some "atomic"
-                        else if
-                          List.mem d dls_allocs || List.mem full dls_allocs
-                        then Some "dls-key"
-                        else if List.mem d fresh_allocs then Some "mutable"
-                        else None
-                      in
-                      Option.iter
-                        (fun k ->
-                          Hashtbl.replace glob.toplevel (fc.f_mod, txt) k)
-                        kind
-                  | None -> ())
-              | _ -> ())
-            vbs
-      | Pstr_module mb -> (
-          match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
-          | _ -> ())
+(* Pre-pass: module-level mutexes, for "mutex:NAME" claims. *)
+let classify_toplevel glob (fc : file) (str : structure) =
+  iter_bindings
+    (fun b ->
+      let rec head e =
+        match e.pexp_desc with
+        | Pexp_apply (f, _) -> apply_head f
+        | Pexp_constraint (e', _) -> head e'
+        | _ -> None
+      in
+      match (b.vb, head b.expr) with
+      | Some { pvb_pat = { ppat_desc = Ppat_var _; _ }; _ }, Some segs
+        when dotted segs = "Mutex.create" ->
+          Hashtbl.replace glob.mutexes (fc.modname, b.name) ()
       | _ -> ())
     str
 
-let do_structure glob fc (str : structure) =
-  List.iter
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              let name =
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> txt
-                | _ ->
-                    Printf.sprintf "_top_%d"
-                      item.pstr_loc.Location.loc_start.Lexing.pos_lnum
-              in
-              let info =
-                get_def glob (fc.f_mod, name) fc.f_path fc.f_mod name
-              in
-              let ctx =
-                {
-                  glob;
-                  fc;
-                  info;
-                  defname = name;
-                  in_root = false;
-                  claim = None;
-                  blocking_ok = false;
-                  shielded = false;
-                }
-              in
-              let ctx = guards_of_attrs ctx vb.pvb_attributes in
-              ignore (walk ctx Env.empty [] vb.pvb_expr))
-            vbs
-      | Pstr_eval (e, attrs) ->
-          let info = get_def glob (fc.f_mod, "_eval") fc.f_path fc.f_mod "_eval" in
-          let ctx =
-            {
-              glob;
-              fc;
-              info;
-              defname = "_eval";
-              in_root = false;
-              claim = None;
-              blocking_ok = false;
-              shielded = false;
-            }
-          in
-          let ctx = guards_of_attrs ctx attrs in
-          ignore (walk ctx Env.empty [] e)
-      | _ -> ())
+let do_structure glob (fc : file) (str : structure) =
+  iter_bindings
+    (fun b ->
+      let info =
+        def glob.defs (fc.modname, b.name) (new_info fc)
+      in
+      let ctx =
+        {
+          glob;
+          fc;
+          info;
+          defname = b.name;
+          in_root = false;
+          claim = None;
+          blocking_ok = false;
+          shielded = false;
+        }
+      in
+      ignore (walk (guards_of_attrs ctx b.attrs) Env.empty [] b.expr))
     str
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: fixpoints and reachability                                   *)
 
-let fixpoint glob =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun info ->
-        List.iter
-          (fun (m, n, locks, _, _) ->
-            let key = ((if m = "" then info.i_mod else m), n) in
-            match Hashtbl.find_opt glob.defs key with
-            | None -> ()
-            | Some callee ->
-                if callee == info then ()
-                else begin
-                  if callee.i_trans_dls && not info.i_trans_dls then begin
-                    info.i_trans_dls <- true;
-                    changed := true
-                  end;
-                  List.iter
-                    (fun l ->
-                      if not (List.mem l info.i_trans_acq) then begin
-                        info.i_trans_acq <- l :: info.i_trans_acq;
-                        changed := true
-                      end)
-                    callee.i_trans_acq;
-                  (match (callee.i_may_block, info.i_may_block) with
-                  | Some w, None ->
-                      info.i_may_block <-
-                        Some
-                          (Printf.sprintf "%s.%s -> %s"
-                             (if m = "" then info.i_mod else m)
-                             n w);
-                      changed := true
-                  | _ -> ());
-                  ignore locks
-                end)
-          info.i_calls)
-      glob.infos
-  done
+let modname i = i.i_mod
+let edges i = i.i_calls
 
-let seed_fixpoint glob =
+(* Transitive DLS use, lock acquisition and may-block witness flow
+   from callee to caller. *)
+let transfer info key _ callee =
+  let changed = ref false in
+  if callee.i_trans_dls && not info.i_trans_dls then begin
+    info.i_trans_dls <- true;
+    changed := true
+  end;
+  List.iter
+    (fun l ->
+      if not (List.mem l info.i_trans_acq) then begin
+        info.i_trans_acq <- l :: info.i_trans_acq;
+        changed := true
+      end)
+    callee.i_trans_acq;
+  (match (callee.i_may_block, info.i_may_block) with
+  | Some w, None ->
+      info.i_may_block <- Some (chain key w);
+      changed := true
+  | _ -> ());
+  !changed
+
+let seed_fixpoint infos =
   List.iter
     (fun info ->
       if info.i_dls then info.i_trans_dls <- true;
@@ -901,46 +587,17 @@ let seed_fixpoint glob =
       match info.i_blocking with
       | (b, _, _) :: _ -> info.i_may_block <- Some b
       | [] -> ())
-    glob.infos
-
-let task_reachable glob =
-  let visited : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let reached = ref [] in
-  let queue = Queue.create () in
-  List.iter (fun r -> Queue.add r queue) glob.roots;
-  while not (Queue.is_empty queue) do
-    let info = Queue.pop queue in
-    reached := info :: !reached;
-    List.iter
-      (fun (m, n, _, _, _) ->
-        let key = ((if m = "" then info.i_mod else m), n) in
-        if not (Hashtbl.mem visited key) then begin
-          Hashtbl.replace visited key ();
-          match Hashtbl.find_opt glob.defs key with
-          | Some i -> Queue.add i queue
-          | None -> ()
-        end)
-      info.i_calls
-  done;
-  !reached
+    infos
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: diagnostics                                                  *)
 
 let known_mutex glob name =
   Hashtbl.fold
-    (fun (m, n) kind acc ->
-      acc
-      || kind = "mutex"
-         && (n = name || m ^ "." ^ n = name))
-    glob.toplevel false
+    (fun (m, n) () acc -> acc || n = name || m ^ "." ^ n = name)
+    glob.mutexes false
 
-let lock_matches name l =
-  l = name
-  ||
-  let suffix = "." ^ name in
-  let ll = String.length l and ls = String.length suffix in
-  ll >= ls && String.sub l (ll - ls) ls = suffix
+let lock_matches name l = l = name || has_suffix ("." ^ name) l
 
 let describe_target w =
   match w.w_id with
@@ -956,7 +613,7 @@ let mechanism_list =
    concurrency-safety statement whether or not today's call graph
    reaches it from a task; only the unclaimed-unguarded-write
    diagnostic is gated on task reachability. *)
-let report_c1 glob reached =
+let report_c1 glob infos reached =
   List.iter
     (fun info ->
       let task_reached = List.memq info reached in
@@ -967,7 +624,7 @@ let report_c1 glob reached =
             | Some n -> Printf.sprintf "\"mutex:%s\"" n
             | None -> Printf.sprintf "%S" cl.cl_mech
           in
-          let emit msg = diag_at glob info.i_file w.w_loc "C1" msg in
+          let emit msg = emit glob (diag_at "C1" info.i_file w.w_loc msg) in
           if w.w_atomic then ()
           else if w.w_locks <> [] then begin
             match w.w_claim with
@@ -1025,7 +682,7 @@ let report_c1 glob reached =
                        (describe_target w) mechanism_list)
           end)
         info.i_writes)
-    glob.infos
+    infos
 
 (* Claim-level checks: a "mutex:NAME" payload must name a module-level
    mutex that exists; a claim whose scope performs no mutation is
@@ -1035,33 +692,23 @@ let report_claims glob =
     List.sort_uniq
       (fun a b ->
         compare
-          (a.cl_file, a.cl_line, a.cl_col, a.cl_mech, a.cl_lock)
-          (b.cl_file, b.cl_line, b.cl_col, b.cl_mech, b.cl_lock))
+          (a.cl_file, line_col a.cl_loc, a.cl_mech, a.cl_lock)
+          (b.cl_file, line_col b.cl_loc, b.cl_mech, b.cl_lock))
       glob.claims
   in
   List.iter
     (fun cl ->
-      let d rule msg =
-        glob.diags <-
-          {
-            Lint.rule;
-            file = cl.cl_file;
-            line = cl.cl_line;
-            col = cl.cl_col;
-            message = msg;
-          }
-          :: glob.diags
-      in
+      let d message = emit glob (diag_at "C1" cl.cl_file cl.cl_loc message) in
       match cl.cl_lock with
       | Some name when not (known_mutex glob name) ->
-          d "C1"
+          d
             (Printf.sprintf
                "[@cts.guarded \"mutex:%s\"] names no module-level mutex \
                 (no `let %s = Mutex.create ()` found)"
                name name)
       | _ ->
           if not cl.cl_used then
-            d "C1"
+            d
               (Printf.sprintf
                  "stale [@cts.guarded %S%s]: the annotated code performs no \
                   shared mutation; remove the annotation"
@@ -1073,7 +720,7 @@ let report_claims glob =
 
 (* C2: the same shared state written under disjoint non-empty lock
    sets at two sites. *)
-let report_c2 glob =
+let report_c2 glob infos =
   let sites : (string, (string * Location.t * string list) list) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -1093,7 +740,7 @@ let report_c2 glob =
                   ((info.i_file, w.w_loc, w.w_locks) :: prev)
             | None -> ())
         info.i_writes)
-    glob.infos;
+    infos;
   let ids = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) sites []) in
   List.iter
     (fun id ->
@@ -1101,8 +748,8 @@ let report_c2 glob =
         List.sort_uniq compare
           (List.map
              (fun (f, loc, lks) ->
-               let p = loc.Location.loc_start in
-               (f, p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol, lks))
+               let l, c = line_col loc in
+               (f, l, c, lks))
              (Hashtbl.find sites id))
       in
       match entries with
@@ -1111,9 +758,9 @@ let report_c2 glob =
           List.iter
             (fun (f, l, c, locks) ->
               if not (List.exists (fun x -> List.mem x locks0) locks) then
-                glob.diags <-
+                emit glob
                   {
-                    Lint.rule = "C2";
+                    rule = "C2";
                     file = f;
                     line = l;
                     col = c;
@@ -1125,26 +772,21 @@ let report_c2 glob =
                         (String.concat ", " locks)
                         (String.concat ", " locks0)
                         f0 l0 c0;
-                  }
-                  :: glob.diags)
+                  })
             rest)
     ids
 
 (* C3: lock-order inversion (and non-reentrant re-acquisition). Pair
    sources: local pairs, plus (held, transitively-acquired-by-callee)
    at every call site made under a lock. *)
-let report_c3 glob =
+let report_c3 glob infos =
   let pairs : (string * string, string * Location.t) Hashtbl.t =
     Hashtbl.create 64
   in
   let add outer inner who loc =
     let key = (outer, inner) in
     let better (f, l) (f', l') =
-      let pos (loc : Location.t) =
-        let p = loc.Location.loc_start in
-        (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
-      in
-      compare (f, pos l) (f', pos l') < 0
+      compare (f, line_col l) (f', line_col l') < 0
     in
     match Hashtbl.find_opt pairs key with
     | Some (f, l) when better (f, l) (who, loc) -> ()
@@ -1154,37 +796,30 @@ let report_c3 glob =
     (fun info ->
       List.iter (fun (o, i, loc) -> add o i info.i_file loc) info.i_pairs;
       List.iter
-        (fun (m, n, locks, _, loc) ->
-          if locks <> [] then
-            let key = ((if m = "" then info.i_mod else m), n) in
-            match Hashtbl.find_opt glob.defs key with
-            | None -> ()
-            | Some callee ->
+        (fun (edge, c) ->
+          if c.c_locks <> [] then
+            match callee glob.defs info.i_mod edge with
+            | _, None -> ()
+            | _, Some callee ->
                 List.iter
                   (fun h ->
                     List.iter
-                      (fun l -> add h l info.i_file loc)
+                      (fun l -> add h l info.i_file c.c_loc)
                       callee.i_trans_acq)
-                  locks)
+                  c.c_locks)
         info.i_calls)
-    glob.infos;
+    infos;
   let entries =
     List.sort compare
       (Hashtbl.fold
          (fun (o, i) (f, loc) acc ->
-           let p = loc.Location.loc_start in
-           ( (o, i),
-             (f, p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol) )
-           :: acc)
+           let l, c = line_col loc in
+           ((o, i), (f, l, c)) :: acc)
          pairs [])
   in
   List.iter
     (fun ((o, i), (f, line, col)) ->
-      let d msg =
-        glob.diags <-
-          { Lint.rule = "C3"; file = f; line; col; message = msg }
-          :: glob.diags
-      in
+      let d message = emit glob { rule = "C3"; file = f; line; col; message } in
       if o = i then
         d
           (Printf.sprintf
@@ -1203,14 +838,20 @@ let report_c3 glob =
     entries
 
 (* C4: blocking call while holding a lock — directly, or via a callee
-   that may block. *)
-let report_c4 glob =
+   that may block. Given the exception-flow analyzer's may-raise table
+   ([raises]), also a call made while holding a lock, outside any try
+   body or protect combinator, to a callee whose inferred
+   [@cts.raises] effect set is non-empty — a raise there unwinds past
+   the unlock and leaks the lock. *)
+let report_c4 glob infos raises =
+  let may_raise = Hashtbl.create (List.length raises) in
+  List.iter (fun (k, exns) -> Hashtbl.replace may_raise k exns) raises;
   List.iter
     (fun info ->
       List.iter
         (fun (prim, locks, loc) ->
           if locks <> [] then
-            diag_at glob info.i_file loc "C4"
+            emit glob @@ diag_at "C4" info.i_file loc
               (Printf.sprintf
                  "blocking call %s while holding {%s}; move the I/O outside \
                   the critical section or annotate [@cts.blocking_ok]"
@@ -1218,152 +859,79 @@ let report_c4 glob =
                  (String.concat ", " locks)))
         info.i_blocking;
       List.iter
-        (fun (m, n, locks, _, loc) ->
-          if locks <> [] then
-            let key = ((if m = "" then info.i_mod else m), n) in
-            match Hashtbl.find_opt glob.defs key with
-            | Some callee -> (
-                match callee.i_may_block with
-                | Some witness ->
-                    diag_at glob info.i_file loc "C4"
-                      (Printf.sprintf
-                         "call to %s.%s may block (%s) while holding {%s}; \
-                          move the I/O outside the critical section or \
-                          annotate [@cts.blocking_ok]"
-                         (if m = "" then info.i_mod else m)
-                         n witness
-                         (String.concat ", " locks))
-                | None -> ())
-            | None -> ())
+        (fun (edge, c) ->
+          if c.c_locks <> [] then begin
+            let (m, n), target = callee glob.defs info.i_mod edge in
+            let locks = String.concat ", " c.c_locks in
+            (match target with
+            | Some { i_may_block = Some witness; _ } ->
+                emit glob @@ diag_at "C4" info.i_file c.c_loc
+                  (Printf.sprintf
+                     "call to %s.%s may block (%s) while holding {%s}; move \
+                      the I/O outside the critical section or annotate \
+                      [@cts.blocking_ok]"
+                     m n witness locks)
+            | _ -> ());
+            match Hashtbl.find_opt may_raise (m, n) with
+            | Some (_ :: _ as exns) when not c.c_shielded ->
+                emit glob @@ diag_at "C4" info.i_file c.c_loc
+                  (Printf.sprintf
+                     "call to %s.%s may raise (%s) while holding {%s}: a \
+                      raise here unwinds past the unlock and leaks the lock; \
+                      wrap the critical section in Mutex.protect or catch \
+                      and release"
+                     m n (String.concat ", " exns) locks)
+            | _ -> ()
+          end)
         info.i_calls)
-    glob.infos
-
-(* C4 (raise direction): a call made while holding a lock, outside any
-   try body or protect combinator, to a callee whose inferred
-   [@cts.raises] effect set (shared table from the exception-flow
-   analyzer, Exc) is non-empty — a raise there unwinds past the unlock
-   and leaks the lock. *)
-let report_c4_raises glob raises =
-  if raises <> [] then begin
-    let tbl : (string * string, string list) Hashtbl.t =
-      Hashtbl.create (List.length raises)
-    in
-    List.iter (fun (k, exns) -> Hashtbl.replace tbl k exns) raises;
-    List.iter
-      (fun info ->
-        List.iter
-          (fun (m, n, locks, shielded, loc) ->
-            if locks <> [] && not shielded then
-              let m = if m = "" then info.i_mod else m in
-              match Hashtbl.find_opt tbl (m, n) with
-              | Some (_ :: _ as exns) ->
-                  diag_at glob info.i_file loc "C4"
-                    (Printf.sprintf
-                       "call to %s.%s may raise (%s) while holding {%s}: a \
-                        raise here unwinds past the unlock and leaks the \
-                        lock; wrap the critical section in Mutex.protect \
-                        or catch and release"
-                       m n
-                       (String.concat ", " exns)
-                       (String.concat ", " locks))
-              | Some [] | None -> ())
-          info.i_calls)
-      glob.infos
-  end
+    infos
 
 (* C5: a Domain.DLS-derived value stored into shared mutable state. *)
-let report_c5 glob =
+let report_c5 glob infos =
   List.iter
     (fun info ->
       List.iter
         (fun w ->
           match w.w_class with
           | W_shared id when w.w_value_dls ->
-              diag_at glob info.i_file w.w_loc "C5"
+              emit glob @@ diag_at "C5" info.i_file w.w_loc
                 (Printf.sprintf
                    "Domain.DLS-derived value stored into shared state %s: \
                     domain-local data must not escape its domain"
                    id)
           | _ -> ())
         info.i_writes)
-    glob.infos
+    infos
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 
-let parse_structure path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  Parse.implementation lexbuf
-
-let check_sources ?(raises = []) sources =
-  let sources = List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources in
-  let mls =
-    List.sort compare
-      (List.filter (fun (p, _) -> Filename.check_suffix p ".ml") sources)
-  in
+let check_ir ?(raises = []) ir =
   let glob =
     {
-      defs = Hashtbl.create 256;
-      infos = [];
+      defs = create_defs ();
       roots = [];
-      toplevel = Hashtbl.create 128;
+      mutexes = Hashtbl.create 16;
       claims = [];
-      diags = [];
+      diags = syntax_errors ~interfaces:false ir;
     }
   in
-  let[@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"] parsed =
-    List.filter_map
-      (fun (path, contents) ->
-        let fc =
-          {
-            f_path = path;
-            f_mod = module_name_of path;
-            f_aliases = Hashtbl.create 8;
-          }
-        in
-        match parse_structure path contents with
-        | str -> Some (fc, str)
-        | exception exn ->
-            let line, col, msg =
-              match Location.error_of_exn exn with
-              | Some (`Ok (err : Location.error)) ->
-                  let loc = err.Location.main.Location.loc in
-                  let p = loc.Location.loc_start in
-                  ( p.Lexing.pos_lnum,
-                    p.Lexing.pos_cnum - p.Lexing.pos_bol,
-                    Format.asprintf "%t" err.Location.main.Location.txt )
-              | _ -> (1, 0, Printexc.to_string exn)
-            in
-            glob.diags <-
-              { Lint.rule = "syntax"; file = path; line; col; message = msg }
-              :: glob.diags;
-            None)
-      mls
-  in
+  let parsed = implementations ir in
   (* Pre-pass before any walk: claim verification and lock resolution
      consult the module-level tables across files. *)
   List.iter (fun (fc, str) -> classify_toplevel glob fc str) parsed;
   List.iter (fun (fc, str) -> do_structure glob fc str) parsed;
-  glob.infos <- List.rev glob.infos;
-  glob.roots <- List.rev glob.roots;
-  seed_fixpoint glob;
-  fixpoint glob;
-  let reached = task_reachable glob in
-  report_c1 glob reached;
+  let infos = nodes glob.defs in
+  seed_fixpoint infos;
+  fixpoint glob.defs ~modname ~edges ~transfer infos;
+  let reached = reachable glob.defs ~modname ~edges (List.rev glob.roots) in
+  report_c1 glob infos reached;
   report_claims glob;
-  report_c2 glob;
-  report_c3 glob;
-  report_c4 glob;
-  report_c4_raises glob raises;
-  report_c5 glob;
-  Lint.sort_diagnostics glob.diags
+  report_c2 glob infos;
+  report_c3 glob infos;
+  report_c4 glob infos raises;
+  report_c5 glob infos;
+  sort_diagnostics glob.diags
 
-let check_paths ?raises paths =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  check_sources ?raises (List.map (fun p -> (p, read_file p)) paths)
+let check_sources ?raises sources = check_ir ?raises (of_sources sources)
+let check_paths ?raises paths = check_ir ?raises (of_paths paths)

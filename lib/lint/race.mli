@@ -1,8 +1,8 @@
 (** Interprocedural concurrency-effect race analyzer.
 
     Where rule L1 (lint.ml) {e trusts} a [[@cts.guarded]] annotation,
-    this pass {e verifies} it. Three passes over the parsetree (no
-    typer), structured like the units checker:
+    this pass {e verifies} it. Three passes over the shared parsetree
+    of a {!Lint_ir.t} (no typer):
 
     + {b Summaries} — every top-level definition is walked once into a
       per-function effect summary: shared mutations (module-level
@@ -61,6 +61,14 @@
     Domain-safety: all analysis state (summary tables, callgraph,
     worklists) is call-local to {!check_sources}; safe to run from any
     domain. *)
+
+val check_ir :
+  ?raises:((string * string) * string list) list ->
+  Lint_ir.t ->
+  Lint.diagnostic list
+(** Analyze the parsed implementations ([.mli] entries are ignored),
+    plus their ["syntax"] diagnostics. See {!check_sources} for
+    [?raises]. *)
 
 val check_sources :
   ?raises:((string * string) * string list) list ->

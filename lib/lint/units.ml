@@ -30,6 +30,7 @@
    class of bug. *)
 
 open Parsetree
+open Lint_ir
 
 (* ------------------------------------------------------------------ *)
 (* The unit domain                                                     *)
@@ -99,15 +100,6 @@ let first_known a b = match a with Known _ -> a | Unknown -> b
 (* ------------------------------------------------------------------ *)
 (* Naming-convention fallback                                          *)
 
-let has_suffix suf s =
-  let ls = String.length s and l = String.length suf in
-  ls >= l && String.sub s (ls - l) l = suf
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* Naming-convention rules, most specific first:
 
    - [unit_res] / [unit_cap] are the per-unit-length tech constants
@@ -167,37 +159,25 @@ type gctx = {
   vals : (string * string, scheme) Hashtbl.t;  (* (Module, name) *)
   mli_vals : (string * string, unit) Hashtbl.t;  (* mli-seeded keys *)
   fields : (string, uinfo) Hashtbl.t;  (* record field name -> unit *)
-  mutable diags : Lint.diagnostic list;
+  mutable diags : diagnostic list;
   mutable emit : bool;  (* false during the scheme-collection passes *)
   mutable changed : bool;  (* a scheme or field unit became more known *)
 }
 
+(* Per-walk file context. [file] is a private copy of the parsed
+   file whose alias table also collects the aliases of nested
+   submodules; the shared IR's table is never extended. *)
 type fctx = {
-  f_path : string;
+  file : file;
   f_mod : string;
-  f_aliases : (string, string) Hashtbl.t;
   mutable f_opens : string list;  (* later opens first *)
 }
 
-let diag g fc rule (loc : Location.t) message =
-  if g.emit then begin
-    let p = loc.Location.loc_start in
-    g.diags <-
-      {
-        Lint.rule;
-        file = fc.f_path;
-        line = p.Lexing.pos_lnum;
-        col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-        message;
-      }
-      :: g.diags
-  end
+let diag g fc rule loc message =
+  if g.emit then g.diags <- diag_at rule fc.file.path loc message :: g.diags
 
 (* ------------------------------------------------------------------ *)
 (* Rule scopes                                                         *)
-
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
 (* U3: the dimensioned core whose public float signatures must carry
    units. *)
@@ -211,25 +191,8 @@ let u3_scope path =
 let u12_scope path = has_prefix "lib/" path || has_prefix "bin/" path
 let u4_scope = u12_scope
 
-let module_name_of path =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename path))
-
 (* ------------------------------------------------------------------ *)
 (* Attributes                                                          *)
-
-let string_payload = function
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
 
 (* [@cts.unit "..."] on a core type, expression, pattern or field. *)
 type attr_unit = A_none | A_unit of dim | A_bad of string * Location.t
@@ -255,10 +218,7 @@ let report_bad_attr g fc = function
            "unknown unit %S in [@cts.unit] (one of: %s)" s unit_name_list)
   | A_none | A_unit _ -> ()
 
-let has_unit_ok (attrs : attributes) =
-  List.exists
-    (fun (a : attribute) -> a.attr_name.Location.txt = "cts.unit_ok")
-    attrs
+let has_unit_ok attrs = has_attr "cts.unit_ok" attrs
 
 (* ------------------------------------------------------------------ *)
 (* Core-type walks (mli seeding and U3)                                *)
@@ -375,7 +335,7 @@ let do_label_decls g fc ~public lds =
       in
       if is_float_constr ld.pld_type || attr <> A_none then
         note_field g name u;
-      if public && u3_scope fc.f_path then
+      if public && u3_scope fc.file.path then
         match attr with
         | A_unit _ -> ()
         | _ -> scan_public_floats g fc ~name ld.pld_type)
@@ -390,7 +350,7 @@ let do_type_decl g fc ~public (td : type_declaration) =
           match cd.pcd_args with
           | Pcstr_record lds -> do_label_decls g fc ~public lds
           | Pcstr_tuple tys ->
-              if public && u3_scope fc.f_path then
+              if public && u3_scope fc.file.path then
                 List.iter
                   (scan_public_floats g fc ~name:cd.pcd_name.Location.txt)
                   tys)
@@ -409,7 +369,7 @@ let rec do_signature g fc (sg : signature) =
           let sch = scheme_of_val g fc name vd.pval_type in
           Hashtbl.replace g.vals (fc.f_mod, name) sch;
           Hashtbl.replace g.mli_vals (fc.f_mod, name) ();
-          if u3_scope fc.f_path then
+          if u3_scope fc.file.path then
             scan_public_floats g fc ~name vd.pval_type
       | Psig_type (_, tds) ->
           List.iter (do_type_decl g fc ~public:true) tds
@@ -420,10 +380,6 @@ let rec do_signature g fc (sg : signature) =
               (* Nested signature: values live under the submodule's
                  own name ([Obs.Clock] style access). *)
               do_signature g { fc with f_mod = sub } sub_sg
-          | Pmty_alias { txt; _ } | Pmty_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases sub last
-              | [] -> ())
           | _ -> ())
       | _ -> ())
     sg
@@ -433,20 +389,6 @@ let rec do_signature g fc (sg : signature) =
 
 module Env = Map.Make (String)
 (* Local environment: name -> scheme. *)
-
-let dotted segs =
-  match List.rev segs with
-  | [] -> ""
-  | [ x ] -> x
-  | x :: m :: _ -> m ^ "." ^ x
-
-let apply_head e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (Longident.flatten txt)
-  | _ -> None
-
-let resolve_alias fc m =
-  match Hashtbl.find_opt fc.f_aliases m with Some t -> t | None -> m
 
 (* Look a (possibly qualified) identifier up: local environment, the
    current module's top levels, then opened modules. *)
@@ -462,16 +404,12 @@ let lookup_scheme g fc env (lid : Longident.t) =
               List.find_map
                 (fun m -> Hashtbl.find_opt g.vals (m, x))
                 fc.f_opens))
-  | segs -> (
-      match List.rev segs with
-      | x :: m :: _ -> Hashtbl.find_opt g.vals (resolve_alias fc m, x)
-      | _ -> None)
+  | segs -> Option.bind (ref_key fc.file segs) (Hashtbl.find_opt g.vals)
 
 let field_unit g (lid : Longident.t) =
-  match List.rev (Longident.flatten lid) with
-  | f :: _ -> (
-      match Hashtbl.find_opt g.fields f with Some u -> u | None -> Unknown)
-  | [] -> Unknown
+  match Hashtbl.find_opt g.fields (Longident.last lid) with
+  | Some u -> u
+  | None -> Unknown
 
 (* Literal detection for U4 (peeling negation and constraints);
    returns the source text of the constant. *)
@@ -578,32 +516,11 @@ and infer_desc ctx env e =
       field_unit g lid.Location.txt
   | Pexp_setfield (tgt, lid, v) ->
       ignore (infer ctx env tgt);
-      let uv = infer ctx env v in
-      let uf = field_unit g lid.Location.txt in
-      (match (uf, uv) with
-      | Known df, Known dv when df <> dv && u12_scope fc.f_path ->
-          diag g fc "U1" e.pexp_loc
-            (Printf.sprintf
-               "unit mismatch: record field %s holds %s but gets %s"
-               (dotted (Longident.flatten lid.Location.txt))
-               (dim_name df) (dim_name dv))
-      | _ -> ());
+      store_field ctx env lid v e.pexp_loc;
       Unknown
   | Pexp_record (members, base) ->
       Option.iter (fun b -> ignore (infer ctx env b)) base;
-      List.iter
-        (fun ((lid : Longident.t Location.loc), v) ->
-          let uv = infer ctx env v in
-          let uf = field_unit g lid.Location.txt in
-          match (uf, uv) with
-          | Known df, Known dv when df <> dv && u12_scope fc.f_path ->
-              diag g fc "U1" v.pexp_loc
-                (Printf.sprintf
-                   "unit mismatch: record field %s holds %s but gets %s"
-                   (dotted (Longident.flatten lid.Location.txt))
-                   (dim_name df) (dim_name dv))
-          | _ -> ())
-        members;
+      List.iter (fun (lid, v) -> store_field ctx env lid v v.pexp_loc) members;
       Unknown
   | Pexp_apply (f, args) -> infer_apply ctx env e f args
   | Pexp_let (rf, vbs, body) ->
@@ -640,9 +557,7 @@ and infer_desc ctx env e =
       ( { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ },
         body ) ->
       let saved = fc.f_opens in
-      (match List.rev (Longident.flatten txt) with
-      | last :: _ -> fc.f_opens <- last :: fc.f_opens
-      | [] -> ());
+      fc.f_opens <- Longident.last txt :: fc.f_opens;
       let u = infer ctx env body in
       fc.f_opens <- saved;
       u
@@ -656,23 +571,21 @@ and infer_desc ctx env e =
       ignore (infer ctx env body);
       Unknown
   | _ ->
-      (* Generic fallback: visit children with the same environment. *)
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr = (fun _ e' -> ignore (infer ctx env e'));
-          case =
-            (fun _ c ->
-              let env = bind_pattern env c.pc_lhs in
-              Option.iter (fun gd -> ignore (infer ctx env gd)) c.pc_guard;
-              ignore (infer ctx env c.pc_rhs));
-          attributes = (fun _ _ -> ());
-          pat = (fun _ _ -> ());
-          typ = (fun _ _ -> ());
-        }
-      in
-      Ast_iterator.default_iterator.expr it e;
+      walk_children bind_pattern
+        (fun env e' -> ignore (infer ctx env e'))
+        env e;
       Unknown
+
+(* U1: a record field constructed or assigned with another unit. *)
+and store_field ctx env (lid : Longident.t Location.loc) v loc =
+  let uv = infer ctx env v in
+  match (field_unit ctx.g lid.Location.txt, uv) with
+  | Known df, Known dv when df <> dv && u12_scope ctx.fc.file.path ->
+      diag ctx.g ctx.fc "U1" loc
+        (Printf.sprintf "unit mismatch: record field %s holds %s but gets %s"
+           (dotted (Longident.flatten lid.Location.txt))
+           (dim_name df) (dim_name dv))
+  | _ -> ()
 
 and infer_cases ctx env cases =
   List.fold_left
@@ -755,26 +668,16 @@ and scheme_of_binding ctx env e ~name =
 
 and infer_apply ctx env e f args =
   let g = ctx.g and fc = ctx.fc in
-  let pos_args =
-    List.filter_map
-      (fun (lbl, a) ->
-        match lbl with Asttypes.Nolabel -> Some a | _ -> None)
-      args
-  in
-  let arith_mismatch op da db loc =
-    if u12_scope fc.f_path then
-      diag g fc "U1" loc
-        (Printf.sprintf "unit mismatch: (%s) combines %s with %s" op
-           (dim_name da) (dim_name db))
-  in
-  let cmp_mismatch op da db loc =
-    if u12_scope fc.f_path then
-      diag g fc "U2" loc
-        (Printf.sprintf "unit mismatch: %s compares %s with %s" op
-           (dim_name da) (dim_name db))
+  let pos_args = nolabel_args args in
+  (* U1 / U2: two operands of known, different units. *)
+  let mismatch rule message ua ub =
+    match (ua, ub) with
+    | Known da, Known db when da <> db && u12_scope fc.file.path ->
+        diag g fc rule e.pexp_loc (message (dim_name da) (dim_name db))
+    | _ -> ()
   in
   let u4_check op ua ub a b =
-    if u4_scope fc.f_path && not ctx.u4ok then
+    if u4_scope fc.file.path && not ctx.u4ok then
       let check u lit_e other_u =
         match (u, literal_const lit_e, other_u) with
         | Unknown, Some s, Known d
@@ -796,30 +699,18 @@ and infer_apply ctx env e f args =
       match (d, pos_args) with
       | ("@@", [ fn; arg ]) -> infer_apply ctx env e fn [ (Asttypes.Nolabel, arg) ]
       | ("|>", [ arg; fn ]) -> infer_apply ctx env e fn [ (Asttypes.Nolabel, arg) ]
-      | (op, [ a; b ]) when List.mem op add_ops ->
+      | (op, [ a; b ]) when List.mem op add_ops || List.mem op minmax_ops ->
           let ua = infer ctx env a and ub = infer ctx env b in
-          (match (ua, ub) with
-          | Known da, Known db when da <> db ->
-              arith_mismatch op da db e.pexp_loc
-          | _ -> ());
-          u4_check op ua ub a b;
+          mismatch "U1"
+            (Printf.sprintf "unit mismatch: (%s) combines %s with %s" op)
+            ua ub;
+          if List.mem op add_ops then u4_check op ua ub a b;
           first_known ua ub
-      | (op, [ a; b ]) when List.mem op minmax_ops ->
+      | (op, [ a; b ]) when List.mem op mul_ops || List.mem op div_ops -> (
           let ua = infer ctx env a and ub = infer ctx env b in
-          (match (ua, ub) with
-          | Known da, Known db when da <> db ->
-              arith_mismatch op da db e.pexp_loc
-          | _ -> ());
-          first_known ua ub
-      | (op, [ a; b ]) when List.mem op mul_ops ->
-          let ua = infer ctx env a and ub = infer ctx env b in
-          (match (ua, ub) with
-          | Known da, Known db -> Known (mul_dim da db)
-          | _ -> Unknown)
-      | (op, [ a; b ]) when List.mem op div_ops ->
-          let ua = infer ctx env a and ub = infer ctx env b in
-          (match (ua, ub) with
-          | Known da, Known db -> Known (div_dim da db)
+          match (ua, ub) with
+          | Known da, Known db ->
+              Known ((if List.mem op mul_ops then mul_dim else div_dim) da db)
           | _ -> Unknown)
       | (op, [ a ]) when List.mem op passthrough_ops -> infer ctx env a
       | (op, [ a ]) when List.mem op sqrt_ops -> (
@@ -828,17 +719,15 @@ and infer_apply ctx env e f args =
           | Unknown -> Unknown)
       | (op, [ a; b ]) when List.mem op cmp_ops ->
           let ua = infer ctx env a and ub = infer ctx env b in
-          (match (ua, ub) with
-          | Known da, Known db when da <> db ->
-              cmp_mismatch (Printf.sprintf "(%s)" op) da db e.pexp_loc
-          | _ -> ());
+          mismatch "U2"
+            (Printf.sprintf "unit mismatch: (%s) compares %s with %s" op)
+            ua ub;
           Unknown
       | _ -> (
           (* Float_cmp helpers: both positional floats must agree. *)
           let is_float_cmp =
-            match List.rev segs with
-            | fn :: m :: _ ->
-                resolve_alias fc m = "Float_cmp" && List.mem fn float_cmp_fns
+            match ref_key fc.file segs with
+            | Some ("Float_cmp", fn) -> List.mem fn float_cmp_fns
             | _ -> false
           in
           if is_float_cmp then begin
@@ -851,10 +740,9 @@ and infer_apply ctx env e f args =
             match pos_args with
             | [ a; b ] ->
                 let ua = infer ctx env a and ub = infer ctx env b in
-                (match (ua, ub) with
-                | Known da, Known db when da <> db ->
-                    cmp_mismatch d da db e.pexp_loc
-                | _ -> ());
+                mismatch "U2"
+                  (Printf.sprintf "unit mismatch: %s compares %s with %s" d)
+                  ua ub;
                 Unknown
             | _ ->
                 List.iter (fun a -> ignore (infer ctx env a)) pos_args;
@@ -911,7 +799,7 @@ and generic_apply ctx env f args =
             | Asttypes.Labelled l | Asttypes.Optional l -> take_labelled l
           in
           match (param, ua) with
-          | Some (Known dp), Known da when dp <> da && u12_scope fc.f_path
+          | Some (Known dp), Known da when dp <> da && u12_scope fc.file.path
             ->
               let argname =
                 match lbl with
@@ -930,7 +818,6 @@ and generic_apply ctx env f args =
 (* ------------------------------------------------------------------ *)
 (* Structure pass                                                      *)
 
-let scheme_key_free g key = not (Hashtbl.mem g.mli_vals key)
 
 (* Scheme updates are monotone, from unknown to known: a known unit is
    never revised, so the silent rounds reach a fixpoint. A scheme of
@@ -988,137 +875,81 @@ let env_of_mli_params (sch : scheme) params =
             env bs)
     Env.empty params
 
-let do_top_binding g fc vb =
-  match vb.pvb_pat.ppat_desc with
-  | Ppat_var { txt = name; _ } -> (
-      let ctx = { g; fc; u4ok = has_unit_ok vb.pvb_attributes } in
+let do_top_binding g fc (b : binding) =
+  let ctx = { g; fc; u4ok = has_unit_ok b.attrs } in
+  match b.vb with
+  | Some { pvb_pat = { ppat_desc = Ppat_var { txt = name; _ }; _ }; _ } -> (
       let key = (fc.f_mod, name) in
       match Hashtbl.find_opt g.vals key with
-      | Some mli_sch when not (scheme_key_free g key) ->
+      | Some mli_sch when Hashtbl.mem g.mli_vals key ->
           (* mli-declared: parameters are authoritative; walk the body
              with them bound and refine an Unknown declared result. *)
-          let params, body = peel_funs [] vb.pvb_expr in
+          let params, body = peel_funs [] b.expr in
           let env = env_of_mli_params mli_sch params in
           let r = infer ctx env body in
           if mli_sch.sresult = Unknown && r <> Unknown then
             set_scheme g key { mli_sch with sresult = r }
-      | _ -> set_scheme g key (scheme_of_binding ctx Env.empty vb.pvb_expr ~name))
-  | _ ->
-      let ctx = { g; fc; u4ok = has_unit_ok vb.pvb_attributes } in
-      ignore (infer ctx Env.empty vb.pvb_expr)
+      | _ -> set_scheme g key (scheme_of_binding ctx Env.empty b.expr ~name))
+  | _ -> ignore (infer ctx Env.empty b.expr)
 
 let rec do_structure g fc (str : structure) =
-  List.iter
-    (fun item ->
+  iter_bindings (do_top_binding g fc) str ~other:(fun item ->
       match item.pstr_desc with
-      | Pstr_value (_, vbs) -> List.iter (do_top_binding g fc) vbs
-      | Pstr_eval (e, attrs) ->
-          let ctx = { g; fc; u4ok = has_unit_ok attrs } in
-          ignore (infer ctx Env.empty e)
       | Pstr_type (_, tds) ->
           List.iter (do_type_decl g fc ~public:false) tds
       | Pstr_open
-          { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } -> (
-          match List.rev (Longident.flatten txt) with
-          | last :: _ -> fc.f_opens <- last :: fc.f_opens
-          | [] -> ())
+          { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+          fc.f_opens <- Longident.last txt :: fc.f_opens
       | Pstr_module mb -> (
           match (mb.pmb_name.Location.txt, mb.pmb_expr.pmod_desc) with
-          | Some alias, Pmod_ident { txt; _ } -> (
-              match List.rev (Longident.flatten txt) with
-              | last :: _ -> Hashtbl.replace fc.f_aliases alias last
-              | [] -> ())
+          | Some alias, Pmod_ident { txt; _ } ->
+              Hashtbl.replace fc.file.aliases alias (Longident.last txt)
           | Some sub, Pmod_structure sub_str ->
               (* Analyze the nested structure; its top levels are
-                 addressable as [Sub.name]. Never displace an
-                 mli-seeded module of the same name. *)
-              if not (Hashtbl.mem g.mli_vals (sub, "")) then
-                do_structure g { fc with f_mod = sub } sub_str
+                 addressable as [Sub.name]. *)
+              do_structure g { fc with f_mod = sub } sub_str
           | _ -> ())
       | _ -> ())
-    str
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let parse_with parser path contents =
-  let lexbuf = Lexing.from_string contents in
-  Lexing.set_filename lexbuf path;
-  parser lexbuf
-
-let check_sources sources =
-  let sources =
-    List.sort compare
-      (List.map (fun (p, c) -> (Lint.normalize_path p, c)) sources)
-  in
+let check_ir ir =
   let g =
     {
       vals = Hashtbl.create 512;
       mli_vals = Hashtbl.create 512;
       fields = Hashtbl.create 256;
-      diags = [];
+      diags = syntax_errors ~interfaces:true ir;
       emit = false;
       changed = false;
     }
   in
-  let fresh_fc path =
+  let fresh_fc (file : file) =
     {
-      f_path = path;
-      f_mod = module_name_of path;
-      f_aliases = Hashtbl.create 8;
+      file = { file with aliases = Hashtbl.copy file.aliases };
+      f_mod = file.modname;
       f_opens = [];
     }
   in
-  let[@cts.catch_all_ok "a parse failure becomes a syntax diagnostic"] parsed
-      parser suffix =
-    List.filter_map
-      (fun (path, contents) ->
-        if not (Filename.check_suffix path suffix) then None
-        else
-          match parse_with parser path contents with
-          | ast -> Some (path, ast)
-          | exception exn ->
-              let line, col, msg =
-                match Location.error_of_exn exn with
-                | Some (`Ok (err : Location.error)) ->
-                    let loc = err.Location.main.Location.loc in
-                    let p = loc.Location.loc_start in
-                    ( p.Lexing.pos_lnum,
-                      p.Lexing.pos_cnum - p.Lexing.pos_bol,
-                      Format.asprintf "%t" err.Location.main.Location.txt )
-                | _ -> (1, 0, Printexc.to_string exn)
-              in
-              g.diags <-
-                { Lint.rule = "syntax"; file = path; line; col; message = msg }
-                :: g.diags;
-              None)
-      sources
-  in
-  let mlis = parsed Parse.interface ".mli" in
-  let mls = parsed Parse.implementation ".ml" in
+  let mls = implementations ir in
   (* Pass 1 (emitting): interfaces seed schemes, field units and U3. *)
   g.emit <- true;
-  List.iter (fun (path, sg) -> do_signature g (fresh_fc path) sg) mlis;
+  List.iter
+    (fun (file, sg) -> do_signature g (fresh_fc file) sg)
+    (interfaces ir);
   g.emit <- false;
   (* Silent rounds over implementations until no scheme or field unit
      changes, so schemes inferred late feed call sites analyzed early,
      across files and through call chains of any depth. *)
-  let rec rounds () =
-    g.changed <- false;
-    List.iter (fun (path, str) -> do_structure g (fresh_fc path) str) mls;
-    if g.changed then rounds ()
-  in
-  rounds ();
+  until_stable (fun () ->
+      g.changed <- false;
+      List.iter (fun (file, str) -> do_structure g (fresh_fc file) str) mls;
+      g.changed);
   (* Final pass (emitting): the real walk with the full global table. *)
   g.emit <- true;
-  List.iter (fun (path, str) -> do_structure g (fresh_fc path) str) mls;
-  Lint.sort_diagnostics g.diags
+  List.iter (fun (file, str) -> do_structure g (fresh_fc file) str) mls;
+  sort_diagnostics g.diags
 
-let check_paths paths =
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  check_sources (List.map (fun p -> (p, read_file p)) paths)
+let check_sources sources = check_ir (of_sources sources)
+let check_paths paths = check_ir (of_paths paths)

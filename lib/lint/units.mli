@@ -6,7 +6,8 @@
     picoseconds — but in the source each is a bare [float], so a
     ps<->um mix-up type-checks silently. This pass runs a
     flow-insensitive but interprocedural dimension inference over the
-    parsetree (compiler-libs, no typer) and reports:
+    shared parsetree of a {!Lint_ir.t} (compiler-libs, no typer) and
+    reports:
 
     - {b U1} — unit-mismatch arithmetic: [+.], [-.], [min], [max]
       combining two operands of known, different units; a function
@@ -56,11 +57,13 @@
     variable never holds ps at one program point and um at another
     (that would already be a bug this pass exists to catch).
 
-    Interprocedural: two silent passes over all implementations build
-    unit schemes (parameter and result units) for unannotated
-    top-level values before the emitting pass runs, so call sites are
-    checked against inferred signatures across files and forward
-    references.
+    Interprocedural: silent passes over all implementations (in sorted
+    path order) build unit schemes (parameter and result units) for
+    unannotated top-level values until no scheme changes — updates
+    only ever turn an unknown unit into a known one — before the
+    emitting pass runs, so call sites are checked against inferred
+    signatures across files, forward references and call chains of any
+    depth, whatever order the sources arrive in.
 
     Scoping (on {!Lint.normalize_path}-normalized paths): U3 is
     restricted to the four core interface directories above; U1, U2
@@ -69,14 +72,19 @@
     Domain-safety: pure analysis over in-memory sources; no shared
     mutable state escapes {!check_sources}. *)
 
+val check_ir : Lint_ir.t -> Lint.diagnostic list
+(** Analyze parsed sources: [.mli] entries seed schemes and U3, [.ml]
+    entries get U1/U2/U4; ["syntax"] diagnostics of both are included.
+    The shared IR is not modified (submodule aliases go to a per-walk
+    copy of a file's alias table). *)
+
 val check_sources : (string * string) list -> Lint.diagnostic list
 (** [check_sources [(path, contents); ...]] analyzes in-memory
     sources. Both [.mli] (scheme seeding + U3) and [.ml]
     (U1/U2/U4) entries participate; paths are normalized with
     {!Lint.normalize_path} before rule scoping. Unparseable inputs
     yield ["syntax"] diagnostics, mirroring {!Lint.lint_sources}.
-    Diagnostics are sorted by (file, line, col, rule) and
-    deduplicated. *)
+    Equivalent to [check_ir (Lint_ir.of_sources sources)]. *)
 
 val check_paths : string list -> Lint.diagnostic list
 (** Read the given files from disk and analyze them; directory

@@ -253,6 +253,58 @@ let test_path_normalization () =
     "absolute sources still lint" expected
     (lint [ ("/root/repo/lib/dme/a.ml", src) ])
 
+let test_determinism_shuffle () =
+  (* L1-L5 output must be byte-identical regardless of the order the
+     sources are supplied in, including L1 reachability across files
+     and L5's pairing of an implementation with its interface. *)
+  let files =
+    [
+      ( "lib/x/a.ml",
+        "let tbl = Hashtbl.create 7\n\
+         let helper x = Hashtbl.replace tbl x x\n" );
+      ( "lib/x/b.ml",
+        "let run pool xs = Parallel.iter pool (fun x -> A.helper x) xs\n" );
+      ( "lib/x/c.ml",
+        "let coin () = Random.bool ()\nlet now () = Unix.time ()\n" );
+      ("lib/dme/d.ml", "let half a = a = 0.5\n");
+      ("lib/x/e.ml", "let hits = ref 0\n");
+      ("lib/x/e.mli", "val hits : int ref\n");
+    ]
+  in
+  let expected = lint files in
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool)
+        (rule ^ " fires") true
+        (List.exists (fun d -> contains d ("[" ^ rule ^ "]")) expected))
+    [ "L1"; "L2"; "L3"; "L4"; "L5" ];
+  let prop =
+    QCheck.Test.make ~count:30
+      ~name:"diagnostics independent of file-visit order"
+      (QCheck.make
+         QCheck.Gen.(shuffle_l files)
+         ~print:(fun fs -> String.concat "," (List.map fst fs)))
+      (fun shuffled -> lint shuffled = expected)
+  in
+  QCheck.Test.check_exn prop
+
+let test_repo_fixtures () =
+  (* The on-disk seeded fixtures (also exercised by `make
+     lint-fixtures`): each must trigger exactly its rule. *)
+  let dir = "../../../test/fixtures/lint/lib/numerics" in
+  let expect files rule =
+    Alcotest.(check (list string))
+      (List.hd files ^ " rules") [ rule ]
+      (List.map
+         (fun (d : Lint.diagnostic) -> d.rule)
+         (Lint.lint_paths (List.map (Filename.concat dir) files)))
+  in
+  expect [ "l1_pool_write.ml" ] "L1";
+  expect [ "l2_random.ml" ] "L2";
+  expect [ "l3_wallclock.ml" ] "L3";
+  expect [ "l4_float_eq.ml" ] "L4";
+  expect [ "l5_state.ml"; "l5_state.mli" ] "L5"
+
 let suite =
   [
     Alcotest.test_case "L1: shared mutation in pool task" `Quick test_l1_shared;
@@ -273,4 +325,7 @@ let suite =
     Alcotest.test_case "diagnostics sorted and deduped" `Quick
       test_sorted_deduped;
     Alcotest.test_case "path normalization" `Quick test_path_normalization;
+    Alcotest.test_case "diagnostics deterministic under shuffle" `Quick
+      test_determinism_shuffle;
+    Alcotest.test_case "seeded fixtures fire" `Quick test_repo_fixtures;
   ]

@@ -288,6 +288,43 @@ let test_syntax_error () =
       Alcotest.failf "expected exactly one diagnostic, got %d"
         (List.length ds)
 
+let test_determinism_shuffle () =
+  (* U1-U4 output must be byte-identical regardless of the order the
+     sources are supplied in: mli seeding, cross-file schemes and the
+     scheme chain all resolve to the same fixpoint. *)
+  let files =
+    chain_sources
+    @ [
+        ( "lib/cts_core/run.mli",
+          "val eval : load_cap:(float[@cts.unit \"ff\"]) -> float -> float\n" );
+        ("lib/cts_core/use.ml", "let go t_ps = Run.eval ~load_cap:t_ps 3.0\n");
+        ("lib/cts_core/f.ml", "let late t_ps len_um = t_ps < len_um\n");
+        ("lib/cts_core/g.ml", "let pad t_ps = t_ps +. 5.0\n");
+      ]
+  in
+  let expected = check files in
+  List.iter
+    (fun rule ->
+      Alcotest.(check bool)
+        (rule ^ " fires") true
+        (List.exists
+           (fun (d : Lint.diagnostic) -> d.rule = rule)
+           (Units.check_sources files)))
+    [ "U1"; "U2"; "U3"; "U4" ];
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) ("chain kept: " ^ d) true (List.mem d expected))
+    chain_diags;
+  let prop =
+    QCheck.Test.make ~count:30
+      ~name:"diagnostics independent of file-visit order"
+      (QCheck.make
+         QCheck.Gen.(shuffle_l files)
+         ~print:(fun fs -> String.concat "," (List.map fst fs)))
+      (fun shuffled -> check shuffled = expected)
+  in
+  QCheck.Test.check_exn prop
+
 let test_repo_fixtures () =
   (* The on-disk seeded fixtures (also exercised by `make
      lint-fixtures`): each must trigger exactly its rule. *)
@@ -337,6 +374,8 @@ let suite =
     Alcotest.test_case "branch joins" `Quick test_branch_join;
     Alcotest.test_case "rule scoping" `Quick test_scope;
     Alcotest.test_case "syntax errors reported" `Quick test_syntax_error;
+    Alcotest.test_case "diagnostics deterministic under shuffle" `Quick
+      test_determinism_shuffle;
     Alcotest.test_case "seeded fixtures fire" `Quick test_repo_fixtures;
     Alcotest.test_case "repository lints clean" `Quick test_repo_lints_clean;
   ]

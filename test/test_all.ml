@@ -33,4 +33,5 @@ let () =
       ("units", T_units.suite);
       ("race", T_race.suite);
       ("exc", T_exc.suite);
+      ("lint_ir", T_lint_ir.suite);
     ]
